@@ -195,25 +195,16 @@ class ExpPoly:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, point) -> complex:
-        """Floating evaluation at (x, y, z, t)."""
-        x, y, z, t = point
-        total = 0j
-        for a in self.atoms:
-            term = a.coeff
-            for value, power in zip((x, y, z, t), a.powers):
-                if power:
-                    term *= value**power
-            arg = a.expo[0] * x + a.expo[1] * y + a.expo[2] * z + a.expo[3] * t
-            if arg != 0:
-                term *= cmath.exp(arg)
-            total += term
-        return total
-
-    def evaluate_real(self, point) -> float:
-        return self.evaluate(point).real
+        """Value at one point (x, y, z, t); the scalar entry to grid_fn."""
+        return complex(self.grid_fn()(*point))
 
     def grid_fn(self) -> Callable:
-        """Vectorized evaluator f(X, Y, Z, T) -> complex ndarray."""
+        """Vectorized evaluator f(X, Y, Z, T) -> complex ndarray.
+
+        The single place where the atom sum is evaluated: ``evaluate``,
+        closed forms, CSV samples and the finite-difference oracle all
+        reach point values through this closure.
+        """
 
         atoms = self.atoms
 
@@ -329,13 +320,6 @@ class VectorField:
 
     def is_zero(self) -> bool:
         return self.cx.is_zero() and self.cy.is_zero() and self.cz.is_zero()
-
-    def evaluate(self, point):
-        return (
-            self.cx.evaluate(point),
-            self.cy.evaluate(point),
-            self.cz.evaluate(point),
-        )
 
 
 def curl(field: VectorField) -> VectorField:

@@ -16,7 +16,9 @@ the pressure closure; --quadrature samples the velocity on a grid via
 the heat-kernel inverse Laplacian.
 
 Grid SPEC syntax: comma-separated axes ``var:lo:hi:count``, e.g.
-``x:-1:1:21,t:0.05:0.25:11``; unlisted variables are fixed at 0.
+``x:-1:1:21,t:0.05:0.25:11``; unlisted variables are fixed at 0. A
+malformed spec, or one given without --csv, exits with status 2 before
+anything is solved. --sample writes the candidate that --verify checks.
 
 Diagnostics go to stderr, results to stdout. Exit status is 0 only if
 no solver error occurred and, with --verify, the residual beat the
@@ -27,12 +29,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
+import math
 import sys
 
 import numpy as np
 
-from .algebra import ExpPoly
+from .algebra import VARIABLES, ExpPoly
 from .diffusion import ball_series, heat_series
 from .errors import PdeSeriesError
 from .evolution import solve_series
@@ -43,41 +45,60 @@ from .series import detect_closed_form
 from .textform import to_display
 
 
-def _parse_grid_spec(spec: str) -> dict[str, np.ndarray]:
+class _UsageError(Exception):
+    """Malformed command-line input; reported with exit status 2."""
+
+
+def _grid_axes(spec: str | None, csv_path: str | None, option: str):
+    """Axes of a ``var:lo:hi:count,...`` spec, or None when not requested.
+
+    Validated before any solving: four fields per axis, a known and
+    unrepeated variable, finite bounds and an integer count >= 1, and an
+    output path.
+    """
+    if not spec:
+        return None
+    if not csv_path:
+        raise _UsageError(f"{option} requires --csv PATH")
     axes = {}
     for chunk in spec.split(","):
         parts = chunk.split(":")
         if len(parts) != 4:
-            raise ValueError(f"bad grid axis {chunk!r}; use var:lo:hi:count")
+            raise _UsageError(f"bad grid axis {chunk!r}; use var:lo:hi:count")
         name, lo, hi, count = parts
-        if name not in ("x", "y", "z", "t"):
-            raise ValueError(f"unknown grid variable {name!r}")
-        axes[name] = np.linspace(float(lo), float(hi), int(count))
-    if not axes:
-        raise ValueError("empty grid spec")
+        if name not in VARIABLES:
+            raise _UsageError(f"unknown grid variable {name!r}")
+        if name in axes:
+            raise _UsageError(f"grid variable {name!r} repeated")
+        try:
+            lo, hi, count = float(lo), float(hi), int(count)
+        except ValueError:
+            raise _UsageError(f"bad grid axis {chunk!r}; use var:lo:hi:count") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise _UsageError(f"grid bounds of {name!r} must be finite")
+        if count < 1:
+            raise _UsageError(f"grid count of {name!r} must be at least 1")
+        axes[name] = np.linspace(lo, hi, count)
     return axes
 
 
-def _grid_points(axes: dict[str, np.ndarray]):
-    names = [v for v in ("x", "y", "z", "t") if v in axes]
-    for combo in itertools.product(*(axes[n] for n in names)):
-        point = dict(zip(names, combo))
-        yield tuple(point.get(v, 0.0) for v in ("x", "y", "z", "t"))
+def _mesh_points(axes: dict[str, np.ndarray]) -> np.ndarray:
+    """(N, 4) points of the tensor grid in x, y, z, t order, t varying
+    fastest; unlisted variables are fixed at 0."""
+    mesh = np.meshgrid(*(axes.get(v, [0.0]) for v in VARIABLES), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _write_csv(path: str, rows):
+def _write_csv(path: str, points, values):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "t", "value_re", "value_im"])
-        for point, value in rows:
+        for point, value in zip(points, values):
             writer.writerow(
                 [f"{v:.17g}" for v in point]
                 + [f"{value.real:.17g}", f"{value.imag:.17g}"]
             )
-
-
-def _sample_rows(evaluate, axes):
-    return [(point, complex(evaluate(point))) for point in _grid_points(axes)]
+    print(f"wrote {len(values)} samples to {path}")
 
 
 def _print_series(series, order):
@@ -105,6 +126,7 @@ def _solve_verify_grid(kind, problem) -> GridSpec:
 
 
 def cmd_solve(args) -> int:
+    axes = _grid_axes(args.sample, args.csv, "--sample")
     pf = load_problem_file(args.file)
     if pf.kind == "flow":
         print("use the 'flow' subcommand for flow problems", file=sys.stderr)
@@ -163,22 +185,14 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             status = 1
-    if args.sample:
-        axes = _parse_grid_spec(args.sample)
-        if not args.csv:
-            print("--sample requires --csv PATH", file=sys.stderr)
-            return 2
-        if closed:
-            rows = _sample_rows(lambda p: closed.evaluate(p), axes)
-        else:
-            total = series.partial_sum(args.order)
-            rows = _sample_rows(lambda p: total.evaluate(p), axes)
-        _write_csv(args.csv, rows)
-        print(f"wrote {len(rows)} samples to {args.csv}")
+    if axes is not None:
+        points = _mesh_points(axes)
+        _write_csv(args.csv, points, candidate(*points.T))
     return status
 
 
 def cmd_flow(args) -> int:
+    axes = _grid_axes(args.quadrature, args.csv, "--quadrature")
     pf = load_problem_file(args.file)
     if pf.kind != "flow":
         print("the 'flow' subcommand needs a flow problem file", file=sys.stderr)
@@ -220,37 +234,28 @@ def cmd_flow(args) -> int:
         except ValueError as err:
             print(f"pressure error: {err}", file=sys.stderr)
             status = 2
-    if args.quadrature:
-        if not args.csv:
-            print("--quadrature requires --csv PATH", file=sys.stderr)
-            return 2
-        axes = _parse_grid_spec(args.quadrature)
+    if axes is not None:
         settings = QuadratureSettings(
             box=(-args.box, args.box),
             horizon=args.horizon,
             n_space=args.nspace,
             n_tau=args.ntau,
         )
-        points4 = list(_grid_points(axes))
-        by_time: dict[float, list] = {}
-        for p in points4:
-            by_time.setdefault(p[3], []).append(p[:3])
-        rows = {0: [], 1: [], 2: []}
-        for t_val, pts in by_time.items():
-            samples = solution.velocity_at(
-                pts, t=t_val, settings=settings, mode=args.mode
-            )
-            for point3, row in zip(pts, samples):
-                for comp in range(3):
-                    rows[comp].append((point3 + (t_val,), complex(row[comp])))
-        base = args.csv
-        stem, dot, ext = base.rpartition(".")
+        points = _mesh_points(axes)
+        slices, samples = [], []
+        # One quadrature call per time value, in order of first appearance.
+        for t_val in dict.fromkeys(points[:, 3]):
+            pts = points[points[:, 3] == t_val]
+            slices.append(pts)
+            samples.append(solution.velocity_at(
+                pts[:, :3], t=t_val, settings=settings, mode=args.mode
+            ))
+        rows, samples = np.concatenate(slices), np.concatenate(samples)
+        stem, dot, ext = args.csv.rpartition(".")
         if not dot:
-            stem, ext = base, "csv"
+            stem, ext = args.csv, "csv"
         for comp, suffix in enumerate(("ux", "uy", "uz")):
-            path = f"{stem}_{suffix}.{ext}"
-            _write_csv(path, rows[comp])
-            print(f"wrote {len(rows[comp])} samples to {path}")
+            _write_csv(f"{stem}_{suffix}.{ext}", rows, samples[:, comp])
     return status
 
 
@@ -295,7 +300,7 @@ def main(argv=None) -> int:
     except PdeSeriesError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
+    except (OSError, _UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -3,12 +3,14 @@ equation u_t = a^2 * Laplacian(u), plus the radial-ball reduction.
 
 The series coefficients obey w_{k+1} = -i * a^2 * Laplacian(w_k), so
 u = sum (i t)^k / k! * w_k = sum (a^2 t)^k / k! * Laplacian^k(u_0).
-On eigen-atoms the sum collapses to the exact heat semigroup.
+On eigen-atoms the sum collapses to the exact heat semigroup
+(:func:`pdeseries.algebra.heat_semigroup`).
 
 The ball problem (temperature T(r, t) of a homogeneous ball) reduces to
-the 1-D heat equation for V = r*T; r is carried in the x variable slot.
-The returned solution presents T = V/r at evaluation and display level,
-since 1/r is outside the atom algebra.
+the 1-D heat equation for V = r*T; r is carried in the x variable slot,
+so the ball series is the heat series of V0. The returned solution
+presents T = V/r at evaluation and display level, since 1/r is outside
+the atom algebra.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import ExpPoly, heat_semigroup, laplacian
+from .algebra import ExpPoly, laplacian
 from .series import ClosedForm, SeriesSolution, detect_closed_form
 
 IMAG = 1j
@@ -42,12 +44,6 @@ def heat_series(problem: HeatProblem, nmax: int = 12) -> SeriesSolution:
     for _ in range(nmax):
         coeffs.append(laplacian(coeffs[-1]).scale(-IMAG * problem.diffusivity))
     return SeriesSolution(tuple(coeffs))
-
-
-def heat_closed_form(problem: HeatProblem) -> ExpPoly:
-    """Exact solution for eigen-atom data: each atom gains
-    exp(a^2 * eigenvalue * t). Raises NonEigenAtomError otherwise."""
-    return heat_semigroup(problem.u0, problem.diffusivity)
 
 
 def growth_flag(series: SeriesSolution) -> bool:
@@ -116,7 +112,7 @@ class BallSolution:
     def temperature(self, r: float, t: float, order: int | None = None) -> float:
         if r == 0:
             raise ZeroDivisionError("temperature presentation undefined at r = 0")
-        value = self.v_series.eval_partial((r, 0.0, 0.0, t), order)
+        value = self.v_series.partial_sum(order).evaluate((r, 0.0, 0.0, t))
         return value.real / r
 
     def display_temperature(self) -> str:
@@ -145,10 +141,7 @@ class BallSolution:
 
 
 def ball_series(problem: BallProblem, nmax: int = 12) -> BallSolution:
-    """w_k = (-i a^2)^k d^{2k}/dr^{2k} [r*T0(r)] on the V variable."""
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    coeffs = [problem.v0]
-    for _ in range(nmax):
-        coeffs.append(coeffs[-1].diff("x", 2).scale(-IMAG * problem.diffusivity))
-    return BallSolution(problem, SeriesSolution(tuple(coeffs)))
+    """w_k = (-i a^2)^k d^{2k}/dr^{2k} [r*T0(r)] on the V variable: the
+    heat series of the x-only datum V0, whose Laplacian is d^2/dx^2."""
+    v_series = heat_series(HeatProblem(problem.diffusivity, problem.v0), nmax)
+    return BallSolution(problem, v_series)

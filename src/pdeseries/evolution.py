@@ -13,7 +13,7 @@ u = sum (i t)^n / n! * w_n, the coefficients satisfy
     RHS_n = sum_m a_m d^m w_n + sum_m b_m d^m (w^{k+1})_n,
 
 where (w^{k+1})_n is the binomial convolution of the coefficient
-sequence with itself (see :func:`series_power`). The implicit left-hand
+sequence with itself (see :meth:`PowersTable.entry`). The implicit left-hand
 operator is solved exactly per exponential class e^{lam*x}: it is
 triangular in polynomial degree with diagonal i*(1 - c*lam^i), so back
 substitution from the highest degree yields the unique solution in the
@@ -81,6 +81,7 @@ class PowersTable:
         self.rows[1].append(value)
 
     def entry(self, p: int, n: int) -> ExpPoly:
+        """Coefficient of the p-th power of the series at index n."""
         if p < 1:
             raise ValueError("power must be >= 1")
         base = self.rows[1]
@@ -99,11 +100,6 @@ class PowersTable:
                 )
             row.append(total)
         return row[n]
-
-
-def series_power(table: PowersTable, p: int, n: int) -> ExpPoly:
-    """Coefficient of the p-th power of the series at index n."""
-    return table.entry(p, n)
 
 
 def apply_implicit_inverse(g: ExpPoly, c: float, order: int) -> ExpPoly:

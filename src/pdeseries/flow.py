@@ -363,17 +363,13 @@ def velocity_samples(
                 -inverse_laplacian_quadrature(comp, pts, t=t, settings=settings, mode=mode)
             )
     out = np.stack(components, axis=1)
-    if potential is not None:
+    if isinstance(potential, RadialPotential):
         for idx, (px, py, pz) in enumerate(pts):
-            point = (px, py, pz, t)
-            if isinstance(potential, RadialPotential):
-                gx, gy, gz = potential.grad(point)
-            else:
-                g = gradient(potential)
-                gx, gy, gz = (c.evaluate(point) for c in g.components())
-            out[idx, 0] += gx
-            out[idx, 1] += gy
-            out[idx, 2] += gz
+            out[idx] += potential.grad((px, py, pz, t))
+    elif potential is not None:
+        px, py, pz = pts.T
+        for comp, g in enumerate(gradient(potential).components()):
+            out[:, comp] += g.grid_fn()(px, py, pz, t)
     return out
 
 

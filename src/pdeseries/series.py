@@ -3,8 +3,8 @@
 Shared by the evolution and diffusion solvers. A SeriesSolution stores
 the coefficient functions w_0 ... w_N as ExpPoly values; partial sums
 are again ExpPoly (t enters through the monomial slot), so they can be
-displayed, differentiated and fed to the finite-difference checker like
-any other expression.
+displayed, differentiated and evaluated through ``ExpPoly.grid_fn`` by
+the finite-difference checker like any other expression.
 
 Closed-form detection recognizes the two resummable patterns that occur
 when the step operator acts as a scalar on the initial datum's function
@@ -16,9 +16,10 @@ family:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import Atom, ExpPoly
 
@@ -48,26 +49,6 @@ class SeriesSolution:
             total = total + t_power * self.coefficients[n]
         return total
 
-    def eval_partial(self, point, order: int | None = None) -> complex:
-        x, y, z, t = point
-        if order is None:
-            order = self.order
-        if order > self.order:
-            raise ValueError(f"order {order} exceeds computed order {self.order}")
-        total = 0j
-        for n in range(order + 1):
-            total += (1j * t) ** n / math.factorial(n) * self.coefficients[n].evaluate(
-                (x, y, z, 0.0)
-            )
-        return total
-
-
-def evaluate_partial_sum(series: SeriesSolution, x: float, t: float, order: int):
-    """Real part of the order-N partial sum at (x, t), plus |imag| as a
-    sanity figure for real problems."""
-    value = series.eval_partial((x, 0.0, 0.0, t), order)
-    return value.real, abs(value.imag)
-
 
 @dataclass(frozen=True)
 class ClosedForm:
@@ -95,18 +76,9 @@ class ClosedForm:
         factor = ExpPoly([Atom(1.0 + 0j, (0, 0, 0, 0), (0j, 0j, 0j, 1j * self.ratio))])
         return factor * self.base
 
-    def evaluate(self, point) -> complex:
-        x, y, z, t = point
-        base = self.base.evaluate((x, y, z, 0.0))
-        if self.kind == "geometric":
-            return base / (1 - 1j * self.ratio * t)
-        if self.kind == "exponential":
-            return base * cmath.exp(1j * self.ratio * t)
-        raise ValueError("no closed form detected")
-
     def grid_fn(self):
-        import numpy as np
-
+        """Vectorized evaluator of the resummed solution, built on the
+        base datum's ExpPoly.grid_fn."""
         base_fn = self.base.grid_fn()
         kind, ratio = self.kind, self.ratio
         if kind == "none":

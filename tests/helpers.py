@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
@@ -16,9 +17,9 @@ _SLOPES = [0j, 1j, -1j, 1 + 0j, -1 + 0j, 0.5j, 1 + 1j, -0.5 + 0j]
 
 
 @st.composite
-def atoms(draw, max_power=2, time_dependence=True):
+def atoms(draw, max_power=2, n_vars=4):
+    """Atoms depending on the first n_vars of x, y, z, t only."""
     coeff = draw(st.sampled_from(_COEFFS))
-    n_vars = 4 if time_dependence else 3
     powers = [draw(st.integers(0, max_power)) for _ in range(n_vars)]
     slopes = [draw(st.sampled_from(_SLOPES)) for _ in range(n_vars)]
     powers += [0] * (4 - n_vars)
@@ -27,10 +28,10 @@ def atoms(draw, max_power=2, time_dependence=True):
 
 
 @st.composite
-def exp_polys(draw, max_atoms=3, max_power=2, time_dependence=True):
+def exp_polys(draw, max_atoms=3, max_power=2, n_vars=4):
     n = draw(st.integers(0, max_atoms))
     return ExpPoly(
-        [draw(atoms(max_power=max_power, time_dependence=time_dependence)) for _ in range(n)]
+        [draw(atoms(max_power=max_power, n_vars=n_vars)) for _ in range(n)]
     )
 
 
@@ -69,6 +70,23 @@ def random_points(n, rng=None, radius=1.0, tmax=0.2):
     ]
 
 
+def reference_evaluate(poly: ExpPoly, point) -> complex:
+    """Pointwise sum of the atoms in plain Python; an oracle for
+    ExpPoly.grid_fn that shares none of its numpy code."""
+    x, y, z, t = point
+    total = 0j
+    for a in poly.atoms:
+        term = a.coeff
+        for value, power in zip((x, y, z, t), a.powers):
+            if power:
+                term *= value**power
+        arg = a.expo[0] * x + a.expo[1] * y + a.expo[2] * z + a.expo[3] * t
+        if arg != 0:
+            term *= cmath.exp(arg)
+        total += term
+    return total
+
+
 def assert_poly_close(a: ExpPoly, b: ExpPoly, tol=1e-10, label=""):
     if not poly_close(a, b, tol):
         from pdeseries import to_display
@@ -79,7 +97,7 @@ def assert_poly_close(a: ExpPoly, b: ExpPoly, tol=1e-10, label=""):
         )
 
 
-def brute_force_series_power(coefficients, p, n):
+def brute_force_power_entry(coefficients, p, n):
     """Independent oracle for the binomial-convolution table.
 
     Treats the truncated series as a plain polynomial in t with ExpPoly

@@ -24,7 +24,7 @@ from pdeseries import (
     detect_closed_form,
     fd_residual_evolution,
     fd_residual_heat,
-    heat_closed_form,
+    heat_semigroup,
     heat_series,
     inverse_laplacian_quadrature,
     inverse_laplacian_symbolic,
@@ -32,11 +32,10 @@ from pdeseries import (
     parse_expression as pe,
     poly_close,
     pressure,
-    series_power,
     solve_flow,
     solve_series,
 )
-from helpers import brute_force_series_power
+from helpers import brute_force_power_entry
 
 
 def report(num, text):
@@ -44,8 +43,9 @@ def report(num, text):
 
 
 def closed_form_matches(cf, exact, points, tol):
+    fn = cf.grid_fn()
     for x, t in points:
-        got = cf.evaluate((x, 0.0, 0.0, t))
+        got = complex(fn(x, 0.0, 0.0, t))
         want = exact(x, t)
         if abs(got - want) > tol:
             return False
@@ -156,13 +156,14 @@ def test_criterion_4_heat_coefficient_identity():
             assert poly_close(series.coefficients[k + 1], expected, 1e-10), (
                 f"w_{k+1} != -i a^2 Lap w_{k}"
             )
-        closed = heat_closed_form(prob)
+        closed = heat_semigroup(u0, a2)
+        partial = series.partial_sum(12)
         for _ in range(4):
             point = (
                 rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1),
                 rng.uniform(0.0, 0.5) / a2,
             )
-            got = series.eval_partial(point, 12)
+            got = partial.evaluate(point)
             want = closed.evaluate(point)
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (
                 f"partial sum vs semigroup at {point}: {abs(got - want):.2e}"
@@ -240,7 +241,7 @@ def test_criterion_7_pressure():
               "= 5 + 1/2 - 1/sqrt(3) to 1e-12")
 
 
-def test_criterion_8_series_powers_oracle():
+def test_criterion_8_powers_table_oracle():
     checked = 0
     for trial in range(50):
         rng = random.Random(8000 + trial)
@@ -248,8 +249,8 @@ def test_criterion_8_series_powers_oracle():
         table = PowersTable(list(coeffs))
         p = rng.choice([2, 3, 4])
         n = rng.randint(2, 6)
-        got = series_power(table, p, n)
-        want = brute_force_series_power(coeffs, p, n)
+        got = table.entry(p, n)
+        want = brute_force_power_entry(coeffs, p, n)
         assert poly_close(got, want, 1e-10), f"power table p={p}, n={n}"
         checked += 1
     report(8, f"{checked} random truncated series: binomial table equals "

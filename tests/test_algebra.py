@@ -19,7 +19,7 @@ from pdeseries import (
     parse_expression as pe,
     poly_close,
 )
-from helpers import assert_poly_close, exp_polys, random_points
+from helpers import assert_poly_close, exp_polys, random_points, reference_evaluate
 
 
 class TestNormalization:
@@ -143,9 +143,16 @@ class TestEvaluation:
         xs, ys, zs, ts = (np.array([p[i] for p in pts]) for i in range(4))
         grid_vals = poly.grid_fn()(xs, ys, zs, ts)
         for idx, p in enumerate(pts):
-            assert abs(grid_vals[idx] - poly.evaluate(p)) < 1e-12 * max(
+            assert abs(grid_vals[idx] - reference_evaluate(poly, p)) < 1e-12 * max(
                 1.0, abs(grid_vals[idx])
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(exp_polys())
+    def test_evaluate_is_scalar_grid_fn(self, poly):
+        fn = poly.grid_fn()
+        for p in random_points(4):
+            assert poly.evaluate(p) == complex(fn(*p))
 
     def test_reality_preservation(self):
         rng = random.Random(5)
@@ -235,7 +242,7 @@ class TestVectorField:
 
     def test_evaluate(self):
         f = VectorField(pe("x"), pe("2*y"), pe("sin(z)"))
-        vx, vy, vz = f.evaluate((1.0, 2.0, 0.0, 0.0))
+        vx, vy, vz = (c.evaluate((1.0, 2.0, 0.0, 0.0)) for c in f.components())
         assert (vx.real, vy.real, vz.real) == pytest.approx((1.0, 4.0, 0.0))
 
 

@@ -128,6 +128,47 @@ class TestSolveCommand:
         assert code == 2
 
 
+class TestGridSpecValidation:
+    """Bad --sample / --quadrature input exits 2 before anything is solved."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "x:0:1",            # three fields
+            "x:0:1:2.5",        # non-integer count
+            "x:0:1:0",          # empty axis
+            "x:0:1:3,x:2:3:3",  # repeated variable
+            "r:0:1:3",          # unknown variable
+            "x:0:nan:3",        # non-finite bound
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "flow"])
+    def test_bad_spec(self, command, spec, write, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        if command == "solve":
+            argv = ["solve", write("ex1.prob", EX1), "--verify", "--sample", spec]
+        else:
+            argv = ["flow", write("flow.prob", FLOW), "--quadrature", spec]
+        code = main(argv + ["--csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, option, text",
+        [("solve", "--sample", EX1), ("flow", "--quadrature", FLOW)],
+        ids=["solve", "flow"],
+    )
+    def test_missing_csv(self, command, option, text, write, capsys):
+        code = main([command, write("in.prob", text), option, "x:0:1:3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {option} requires --csv PATH\n"
+        assert captured.out == ""
+
+
 class TestFlowCommand:
     def test_psi_output(self, write, capsys):
         code = main(["flow", write("flow.prob", FLOW)])

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from pdeseries import (
     BallProblem,
@@ -14,13 +15,13 @@ from pdeseries import (
     detect_closed_form,
     fd_residual_heat,
     growth_flag,
-    heat_closed_form,
+    heat_semigroup,
     heat_series,
     laplacian,
     parse_expression as pe,
     poly_close,
 )
-from helpers import assert_poly_close, eigen_poly_samples
+from helpers import assert_poly_close, eigen_poly_samples, exp_polys
 
 
 class TestHeatSeries:
@@ -32,7 +33,7 @@ class TestHeatSeries:
             assert_poly_close(w, pe("sin(x)").scale((1j * 0.7) ** k), 1e-10)
         cf = detect_closed_form(series)
         assert cf.kind == "exponential"
-        value = cf.evaluate((0.4, 0, 0, 0.3)).real
+        value = complex(cf.grid_fn()(0.4, 0, 0, 0.3)).real
         assert value == pytest.approx(math.exp(-0.7 * 0.3) * math.sin(0.4))
 
     def test_constant_datum(self):
@@ -60,16 +61,16 @@ class TestHeatSeries:
 
 class TestHeatClosedForm:
     def test_exponential_datum(self):
-        out = heat_closed_form(HeatProblem(0.25, pe("exp(x+y+z)")))
+        out = heat_semigroup(pe("exp(x+y+z)"), 0.25)
         assert_poly_close(out, pe("exp(0.75*t)*exp(x+y+z)"), 1e-12)
 
     def test_trig_datum(self):
-        out = heat_closed_form(HeatProblem(0.25, pe("sin(x-y-z)")))
+        out = heat_semigroup(pe("sin(x-y-z)"), 0.25)
         assert_poly_close(out, pe("exp(-0.75*t)*sin(x-y-z)"), 1e-12)
 
     def test_non_eigen_rejected(self):
         with pytest.raises(NonEigenAtomError):
-            heat_closed_form(HeatProblem(1.0, pe("x^2")))
+            heat_semigroup(pe("x^2"), 1.0)
 
     def test_series_agreement_random_eigendata(self):
         # Order-12 partial sums vs the exact semigroup at a^2*t <= 0.5.
@@ -80,7 +81,8 @@ class TestHeatClosedForm:
             a2 = rng.uniform(0.05, 2.0)
             prob = HeatProblem(a2, u0)
             series = heat_series(prob, 12)
-            closed = heat_closed_form(prob)
+            closed = heat_semigroup(u0, a2)
+            partial = series.partial_sum(12)
             for _ in range(4):
                 point = (
                     rng.uniform(-1, 1),
@@ -88,7 +90,7 @@ class TestHeatClosedForm:
                     rng.uniform(-1, 1),
                     rng.uniform(0.0, 0.5) / a2,
                 )
-                got = series.eval_partial(point, 12)
+                got = partial.evaluate(point)
                 want = closed.evaluate(point)
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
@@ -96,7 +98,7 @@ class TestHeatClosedForm:
         for u0 in eigen_poly_samples()[:6]:
             series = heat_series(HeatProblem(1.3, u0), 4)
             for point in ((0.2, -0.4, 0.9, 0.0), (-1.0, 0.5, 0.1, 0.0)):
-                assert series.eval_partial(point, 0) == pytest.approx(
+                assert series.partial_sum(0).evaluate(point) == pytest.approx(
                     u0.evaluate((point[0], point[1], point[2], 0.0))
                 )
 
@@ -154,6 +156,19 @@ class TestBall:
             sol.closed_form.grid_fn(), 1.0, grid, spatial_vars=("x",)
         )
         assert report.max_abs < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(exp_polys(max_atoms=3, max_power=3, n_vars=1))
+    def test_ball_series_is_heat_series_of_v0(self, v0):
+        # For x-only data the Laplacian is d^2/dx^2 atom for atom, so the
+        # ball recursion w_{k+1} = -i a^2 w_k'' is the heat series of V0.
+        a2 = 0.7
+        coeffs = ball_series(BallProblem(a2, v0), 5).v_series.coefficients
+        assert coeffs == heat_series(HeatProblem(a2, v0), 5).coefficients
+        w = v0
+        for got in coeffs:
+            assert got == w
+            w = w.diff("x", 2).scale(-1j * a2)
 
     def test_temperature_undefined_at_origin(self):
         sol = ball_series(BallProblem(1.0, pe("sin(x)")), 4)

@@ -13,14 +13,12 @@ from pdeseries import (
     ResonanceError,
     apply_implicit_inverse,
     detect_closed_form,
-    evaluate_partial_sum,
     fd_residual_evolution,
     parse_expression as pe,
     recursion_step,
-    series_power,
     solve_series,
 )
-from helpers import assert_poly_close, brute_force_series_power, exp_polys
+from helpers import assert_poly_close, brute_force_power_entry, exp_polys
 
 
 def rlw_problem():
@@ -94,17 +92,17 @@ class TestImplicitInverse:
 class TestSeriesPower:
     def test_identity_row(self):
         table = PowersTable([pe("x"), pe("i*x")])
-        assert series_power(table, 1, 1) == pe("i*x")
+        assert table.entry(1, 1) == pe("i*x")
 
     def test_square_at_zero(self):
         table = PowersTable([pe("x + 1"), pe("x")])
-        assert_poly_close(series_power(table, 2, 0), pe("(x+1)^2"))
+        assert_poly_close(table.entry(2, 0), pe("(x+1)^2"))
 
     def test_square_at_one_against_oracle(self):
         coeffs = [pe("x"), pe("i*x")]
         table = PowersTable(list(coeffs))
-        got = series_power(table, 2, 1)
-        expected = brute_force_series_power(coeffs, 2, 1)
+        got = table.entry(2, 1)
+        expected = brute_force_power_entry(coeffs, 2, 1)
         assert_poly_close(got, expected)
         assert_poly_close(got, pe("2*i*x^2"))
 
@@ -118,20 +116,20 @@ class TestSeriesPower:
         for j in range(n, -1, -1):
             backward = backward + (coeffs[j] * coeffs[n - j]).scale(math.comb(n, j))
         table = PowersTable(list(coeffs))
-        assert_poly_close(series_power(table, 2, n), forward)
+        assert_poly_close(table.entry(2, n), forward)
         assert_poly_close(forward, backward, 1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.lists(exp_polys(max_atoms=2, max_power=2, time_dependence=False),
+        st.lists(exp_polys(max_atoms=2, max_power=2, n_vars=3),
                  min_size=3, max_size=5),
         st.integers(2, 4),
     )
     def test_against_brute_force_cauchy(self, coeffs, p):
         table = PowersTable(list(coeffs))
         n = len(coeffs) - 1
-        got = series_power(table, p, n)
-        expected = brute_force_series_power(coeffs, p, n)
+        got = table.entry(p, n)
+        expected = brute_force_power_entry(coeffs, p, n)
         assert_poly_close(got, expected, 1e-9)
 
 
@@ -240,13 +238,13 @@ class TestClosedForm:
         cf = detect_closed_form(solve_series(rlw_problem(), 8))
         assert cf.kind == "geometric"
         assert cf.ratio == pytest.approx(1j)
-        assert cf.evaluate((1.0, 0, 0, 0.1)).real == pytest.approx(1 / 1.1)
+        assert complex(cf.grid_fn()(1.0, 0, 0, 0.1)).real == pytest.approx(1 / 1.1)
 
     def test_transport_exponential(self):
         cf = detect_closed_form(solve_series(transport_problem(), 8))
         assert cf.kind == "exponential"
         assert cf.ratio == pytest.approx(1j)
-        value = cf.evaluate((0.3, 0, 0, 0.2)).real
+        value = complex(cf.grid_fn()(0.3, 0, 0, 0.2)).real
         assert value == pytest.approx(math.exp(-0.2 - 0.3))
 
     def test_exponential_as_exppoly(self):
@@ -280,39 +278,42 @@ class TestClosedForm:
             series = solve_series(prob, 12)
             cf = detect_closed_form(series)
             assert cf
+            closed_fn, partial = cf.grid_fn(), series.partial_sum(12)
             for _ in range(20):
                 x, t = rng.uniform(-1, 1), rng.uniform(-0.2, 0.2)
-                closed = cf.evaluate((x, 0, 0, t))
-                partial = series.eval_partial((x, 0, 0, t), 12)
-                assert abs(closed - partial) < 1e-8
+                closed = complex(closed_fn(x, 0, 0, t))
+                assert abs(closed - partial.evaluate((x, 0, 0, t))) < 1e-8
 
 
 class TestPartialSums:
     def test_value_at_zero_is_datum(self):
         series = solve_series(rlw_problem(), 6)
         for x in (-1.0, 0.3, 0.9):
-            value, imag = evaluate_partial_sum(series, x, 0.0, 6)
-            assert value == pytest.approx(x)
-            assert imag < 1e-12
+            value = series.partial_sum(6).evaluate((x, 0, 0, 0.0))
+            assert value.real == pytest.approx(x)
+            assert abs(value.imag) < 1e-12
 
     def test_rlw_value(self):
         series = solve_series(rlw_problem(), 10)
-        value, imag = evaluate_partial_sum(series, 1.0, 0.1, 10)
-        assert value == pytest.approx(1 / 1.1, abs=2e-11)
-        assert imag < 1e-10
+        value = series.partial_sum(10).evaluate((1.0, 0, 0, 0.1))
+        assert value.real == pytest.approx(1 / 1.1, abs=2e-11)
+        assert abs(value.imag) < 1e-10
 
     def test_fourth_order_value(self):
         series = solve_series(fourth_order_problem(), 12)
-        value, _ = evaluate_partial_sum(series, math.pi / 2, 0.5, 12)
-        assert value == pytest.approx(math.exp(-0.5), abs=1e-8)
+        value = series.partial_sum(12).evaluate((math.pi / 2, 0, 0, 0.5))
+        assert value.real == pytest.approx(math.exp(-0.5), abs=1e-8)
 
     def test_partial_sum_poly_matches_eval(self):
         series = solve_series(transport_problem(), 6)
         total = series.partial_sum(6)
-        for point in ((0.2, 0, 0, 0.1), (-0.5, 0, 0, 0.15)):
-            assert total.evaluate(point) == pytest.approx(
-                series.eval_partial(point, 6)
+        # Direct sum of (i t)^n / n! * w_n(x) against the single ExpPoly.
+        for x, t in ((0.2, 0.1), (-0.5, 0.15)):
+            direct = sum(
+                (1j * t) ** n / math.factorial(n) * w.evaluate((x, 0, 0, 0))
+                for n, w in enumerate(series.coefficients)
             )
+            assert total.evaluate((x, 0, 0, t)) == pytest.approx(direct)
 
     def test_residual_decays_with_order(self):
         # Around (x, t) = (0.5, 0.1) the PDE defect of the order-N sum

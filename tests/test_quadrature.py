@@ -98,6 +98,15 @@ class TestVelocitySamples:
         for comp in range(3):
             assert samples[0][comp].real == pytest.approx(expect, abs=1e-12)
 
+    def test_exppoly_potential_gradient_added(self):
+        # phi = x*y is harmonic; its gradient (y, x, 0) is added exactly.
+        psi = VectorField(ExpPoly.zero(), ExpPoly.zero(), pe("sin(x)"))
+        pts = [(0.5, 0.2, -0.3), (-0.4, 0.9, 0.1)]
+        with_phi = velocity_samples(psi, pe("x*y"), pts, t=0.3, settings=FAST)
+        without = velocity_samples(psi, None, pts, t=0.3, settings=FAST)
+        for (x, y, _), row in zip(pts, with_phi - without):
+            assert np.abs(row - (y, x, 0.0)).max() < 1e-12
+
     def test_flow_solution_sampling(self):
         prob = FlowProblem(
             viscosity=0.1,
