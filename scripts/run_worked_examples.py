@@ -71,7 +71,7 @@ def main():
     print(f"  V closed form: {sol.closed_form.display()}")
     print(f"  T(r, t) = {sol.display_temperature()}")
     grid = GridSpec(ranges={"x": (0.1, 1.0, 19), "t": (0.01, 0.1, 10)})
-    res = fd_residual_heat(sol.closed_form.grid_fn(), 1.0, grid, spatial_vars=("x",))
+    res = fd_residual_heat(sol.closed_form.grid_fn(), 1.0, grid)
     print(f"  1-D residual on V: {res}")
 
     banner("5. Linearized flow, nu = 0.1")

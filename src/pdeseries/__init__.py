@@ -44,13 +44,10 @@ from .flow import (
     FlowSolution,
     QuadratureSettings,
     RadialPotential,
-    assemble_velocity,
     duhamel_particular,
     inverse_laplacian_quadrature,
     inverse_laplacian_symbolic,
-    pressure,
     solve_flow,
-    velocity_samples,
     vorticity_homogeneous,
 )
 from .problemfile import ProblemFile, load_problem, load_problem_file
@@ -94,7 +91,6 @@ __all__ = [
     "VectorField",
     "ZeroEigenvalueError",
     "apply_implicit_inverse",
-    "assemble_velocity",
     "ball_series",
     "curl",
     "detect_closed_form",
@@ -115,12 +111,10 @@ __all__ = [
     "load_problem_file",
     "parse_expression",
     "poly_close",
-    "pressure",
     "recursion_step",
     "solve_flow",
     "solve_series",
     "stencil",
     "to_display",
-    "velocity_samples",
     "vorticity_homogeneous",
 ]

@@ -266,23 +266,14 @@ def eigenvalue(atom: Atom) -> complex:
     raise NonEigenAtomError(to_display(single))
 
 
-def heat_semigroup(poly: ExpPoly, diffusivity: float, theta: float | None = None) -> ExpPoly:
-    """Apply exp(diffusivity * theta * Laplacian) on eigen-atoms.
-
-    With ``theta=None`` time stays symbolic: each atom's exponent gains
-    diffusivity * eigenvalue in the t slot. With a numeric ``theta`` the
-    coefficient is scaled by exp(diffusivity * theta * eigenvalue).
-    """
+def heat_semigroup(poly: ExpPoly, diffusivity: float) -> ExpPoly:
+    """Apply exp(diffusivity * t * Laplacian) on eigen-atoms, with t
+    symbolic: each atom's exponent gains diffusivity * eigenvalue in the
+    t slot."""
     out = []
     for a in poly.atoms:
-        lam2 = eigenvalue(a)
-        if theta is None:
-            expo = a.expo[:3] + (a.expo[3] + diffusivity * lam2,)
-            out.append(Atom(a.coeff, a.powers, expo))
-        else:
-            out.append(
-                Atom(a.coeff * cmath.exp(diffusivity * theta * lam2), a.powers, a.expo)
-            )
+        expo = a.expo[:3] + (a.expo[3] + diffusivity * eigenvalue(a),)
+        out.append(Atom(a.coeff, a.powers, expo))
     return ExpPoly(out)
 
 

@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .algebra import VARIABLES, ExpPoly
+from .algebra import VARIABLES
 from .diffusion import ball_series, heat_series
 from .errors import PdeSeriesError
 from .evolution import solve_series
@@ -162,20 +162,11 @@ def cmd_solve(args) -> int:
         if pf.kind == "evolution":
             report = fd_residual_evolution(candidate, pf.problem, grid, args.order)
             initial = pf.problem.h
-        elif pf.kind == "heat":
+        else:
             report = fd_residual_heat(
                 candidate, pf.problem.diffusivity, grid, order_used=args.order
             )
-            initial = pf.problem.u0
-        else:
-            report = fd_residual_heat(
-                candidate,
-                pf.problem.diffusivity,
-                grid,
-                spatial_vars=("x",),
-                order_used=args.order,
-            )
-            initial = pf.problem.v0
+            initial = pf.problem.u0 if pf.kind == "heat" else pf.problem.v0
         print(f"residual: {report}")
         init_val = series.coefficients[0] - initial
         print(f"initial-datum defect (symbolic): {init_val.max_abs_coeff():.3e}")
@@ -213,10 +204,8 @@ def cmd_flow(args) -> int:
     potential = pf.problem.potential
     if isinstance(potential, RadialPotential):
         phi_text = potential.display()
-    elif isinstance(potential, ExpPoly):
-        phi_text = to_display(potential)
     else:
-        phi_text = "0"
+        phi_text = to_display(potential)
     ref = pf.problem.reference
     print("pressure: p = p0 + d/dt[phi](ref) - d/dt[phi](query) + force terms")
     print(f"  with phi = {phi_text}, ref = {ref}, p0 = {pf.problem.p0}")

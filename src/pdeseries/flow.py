@@ -44,7 +44,6 @@ from .algebra import (
     gradient,
     heat_semigroup,
     laplacian,
-    poly_close,
 )
 from .errors import PotentialSingularityError, ZeroEigenvalueError
 
@@ -75,10 +74,6 @@ class RadialPotential:
             )
         return r
 
-    def value(self, point) -> float:
-        x, y, z, t = point
-        return self.scale * t / self._radius(x, y, z)
-
     def dt(self, point) -> float:
         x, y, z, _ = point
         return self.scale / self._radius(x, y, z)
@@ -94,7 +89,7 @@ class RadialPotential:
         return f"{prefix}t/sqrt(x^2+y^2+z^2)"
 
 
-Potential = ExpPoly | RadialPotential | None
+Potential = ExpPoly | RadialPotential
 
 
 # ---------------------------------------------------------------------
@@ -109,47 +104,50 @@ class FlowProblem:
     The curls of the initial velocity and of the body force are the
     primary inputs (the force itself never enters the vorticity
     equation). ``u0`` may be supplied instead of ``curl_u0``; it is then
-    checked divergence-free and curled. ``f`` is optional and only
-    feeds the pressure's div(invLap(f)) terms; when omitted those terms
-    are zero.
+    checked divergence-free and curled. ``f`` only feeds the pressure's
+    div(invLap(f)) terms. Every input has a zero default: the zero
+    potential adds no gradient and the zero force no pressure term.
     """
 
     viscosity: float
     curl_u0: VectorField = field(default_factory=VectorField.zero)
     curl_f: VectorField = field(default_factory=VectorField.zero)
-    potential: Potential = None
-    f: VectorField | None = None
+    potential: Potential = field(default_factory=ExpPoly.zero)
+    f: VectorField = field(default_factory=VectorField.zero)
     reference: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     p0: float = 0.0
 
     def __post_init__(self):
         if self.viscosity <= 0:
             raise ValueError("viscosity must be positive")
+        for name in ("curl_u0", "curl_f", "f"):
+            value = getattr(self, name)
+            if not isinstance(value, VectorField):
+                raise TypeError(
+                    f"{name} must be a VectorField, not {type(value).__name__}"
+                )
         if isinstance(self.potential, ExpPoly):
             if not laplacian(self.potential).is_zero():
                 raise ValueError("potential must be harmonic")
+        elif not isinstance(self.potential, RadialPotential):
+            raise TypeError(
+                "potential must be an ExpPoly or a RadialPotential, "
+                f"not {type(self.potential).__name__}"
+            )
 
     @staticmethod
     def from_velocity(
         viscosity: float,
         u0: VectorField,
-        curl_f: VectorField | None = None,
-        potential: Potential = None,
-        f: VectorField | None = None,
+        curl_f: VectorField = VectorField.zero(),
+        potential: Potential = ExpPoly.zero(),
+        f: VectorField = VectorField.zero(),
         reference=(0.0, 0.0, 0.0, 0.0),
         p0: float = 0.0,
     ) -> "FlowProblem":
         if not divergence(u0).is_zero():
             raise ValueError("initial velocity must be divergence-free")
-        return FlowProblem(
-            viscosity,
-            curl(u0),
-            curl_f if curl_f is not None else VectorField.zero(),
-            potential,
-            f,
-            reference,
-            p0,
-        )
+        return FlowProblem(viscosity, curl(u0), curl_f, potential, f, reference, p0)
 
 
 # ---------------------------------------------------------------------
@@ -219,12 +217,6 @@ def duhamel_particular(curl_f: VectorField, viscosity: float) -> VectorField:
         return ExpPoly(out)
 
     return curl_f.map(convolve)
-
-
-def solve_vorticity(problem: FlowProblem) -> VectorField:
-    return vorticity_homogeneous(problem.curl_u0, problem.viscosity) + (
-        duhamel_particular(problem.curl_f, problem.viscosity)
-    )
 
 
 # ---------------------------------------------------------------------
@@ -320,92 +312,6 @@ def inverse_laplacian_quadrature(
 # ---------------------------------------------------------------------
 
 
-def assemble_velocity(psi: VectorField, potential: Potential = None) -> VectorField:
-    """Symbolic velocity u = -curl(invLap(psi)) + grad(potential).
-
-    Requires every atom of psi to be invertible; a RadialPotential
-    cannot join a symbolic field, use velocity sampling instead.
-    """
-    inv = psi.map(inverse_laplacian_symbolic)
-    u = -curl(inv)
-    if potential is None:
-        return u
-    if isinstance(potential, RadialPotential):
-        raise ValueError(
-            "radial potential has no symbolic field form; "
-            "evaluate velocity pointwise instead"
-        )
-    return u + gradient(potential)
-
-
-def velocity_samples(
-    psi: VectorField,
-    potential: Potential,
-    points,
-    t: float = 0.0,
-    settings: QuadratureSettings = QuadratureSettings(),
-    mode: str = "standard",
-):
-    """Velocity u = -invLap(curl psi) + grad(potential) on sample points.
-
-    The curl is taken symbolically (psi is an exact atom expression);
-    the inverse Laplacian is evaluated by quadrature, so harmonic atoms
-    in the vorticity are handled.
-    """
-    w = curl(psi)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    components = []
-    for comp in w.components():
-        if comp.is_zero():
-            components.append(np.zeros(len(pts), dtype=complex))
-        else:
-            components.append(
-                -inverse_laplacian_quadrature(comp, pts, t=t, settings=settings, mode=mode)
-            )
-    out = np.stack(components, axis=1)
-    if isinstance(potential, RadialPotential):
-        for idx, (px, py, pz) in enumerate(pts):
-            out[idx] += potential.grad((px, py, pz, t))
-    elif potential is not None:
-        px, py, pz = pts.T
-        for comp, g in enumerate(gradient(potential).components()):
-            out[:, comp] += g.grid_fn()(px, py, pz, t)
-    return out
-
-
-def _potential_dt(potential: Potential, point) -> float:
-    if potential is None:
-        return 0.0
-    if isinstance(potential, RadialPotential):
-        return potential.dt(point)
-    return potential.diff("t").evaluate(point).real
-
-
-def _force_term(f: VectorField | None, point) -> float:
-    if f is None:
-        return 0.0
-    div_inv = divergence(f.map(inverse_laplacian_symbolic))
-    return div_inv.evaluate(point).real
-
-
-def pressure(problem: FlowProblem, query) -> float:
-    """Pressure anchored at the reference stagnation measurement.
-
-    p(query) = p0 + phi_t(ref) - div(invLap(f))(ref)
-                  - phi_t(query) + div(invLap(f))(query)
-
-    with the force terms zero when no force field is supplied.
-    """
-    ref = problem.reference
-    return (
-        problem.p0
-        + _potential_dt(problem.potential, ref)
-        - _force_term(problem.f, ref)
-        - _potential_dt(problem.potential, query)
-        + _force_term(problem.f, query)
-    )
-
-
 @dataclass(frozen=True)
 class FlowSolution:
     problem: FlowProblem
@@ -416,7 +322,19 @@ class FlowSolution:
         return curl(self.psi)
 
     def velocity_symbolic(self) -> VectorField:
-        return assemble_velocity(self.psi, self.problem.potential)
+        """Symbolic velocity u = -curl(invLap(psi)) + grad(potential).
+
+        Requires every atom of psi to be invertible; a RadialPotential
+        cannot join a symbolic field, use velocity_at instead.
+        """
+        u = -curl(self.psi.map(inverse_laplacian_symbolic))
+        potential = self.problem.potential
+        if isinstance(potential, RadialPotential):
+            raise ValueError(
+                "radial potential has no symbolic field form; "
+                "evaluate velocity pointwise instead"
+            )
+        return u + gradient(potential)
 
     def velocity_at(
         self,
@@ -425,22 +343,60 @@ class FlowSolution:
         settings: QuadratureSettings = QuadratureSettings(),
         mode: str = "standard",
     ):
-        return velocity_samples(
-            self.psi, self.problem.potential, points, t=t, settings=settings, mode=mode
-        )
+        """Velocity u = -invLap(curl psi) + grad(potential) on sample points.
+
+        The curl is taken symbolically (psi is an exact atom expression);
+        the inverse Laplacian is evaluated by quadrature, so harmonic atoms
+        in the vorticity are handled. Returns a complex (len(points), 3)
+        ndarray.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros((len(pts), 3), dtype=complex)
+        for comp, w in enumerate(self.curl_psi.components()):
+            if not w.is_zero():
+                out[:, comp] = -inverse_laplacian_quadrature(
+                    w, pts, t=t, settings=settings, mode=mode
+                )
+        potential = self.problem.potential
+        if isinstance(potential, RadialPotential):
+            for idx, (px, py, pz) in enumerate(pts):
+                out[idx] += potential.grad((px, py, pz, t))
+        elif not potential.is_zero():
+            # Skipped for the zero potential so that a -0.0 sample keeps
+            # its sign; adding 0.0 would turn it into +0.0.
+            px, py, pz = pts.T
+            for comp, g in enumerate(gradient(potential).components()):
+                out[:, comp] += g.grid_fn()(px, py, pz, t)
+        return out
 
     def pressure_at(self, query) -> float:
-        return pressure(self.problem, query)
+        """Pressure anchored at the reference stagnation measurement.
 
-    def initial_vorticity_matches(self, tol: float = 1e-10) -> bool:
-        at0 = self.psi.map(lambda comp: comp.substitute_t(0.0))
-        return all(
-            poly_close(a, b, tol)
-            for a, b in zip(at0.components(), self.problem.curl_u0.components())
-        )
+        p(query) = p0 + phi_t(ref) - div(invLap(f))(ref)
+                      - phi_t(query) + div(invLap(f))(query)
+
+        The zero potential and the zero force give exactly 0.0 terms.
+        """
+        problem = self.problem
+        potential = problem.potential
+
+        def phi_t(point) -> float:
+            if isinstance(potential, RadialPotential):
+                return potential.dt(point)
+            return potential.diff("t").evaluate(point).real
+
+        def force(point) -> float:
+            div_inv = divergence(problem.f.map(inverse_laplacian_symbolic))
+            return div_inv.evaluate(point).real
+
+        ref = problem.reference
+        return problem.p0 + phi_t(ref) - force(ref) - phi_t(query) + force(query)
 
 
 def solve_flow(problem: FlowProblem) -> FlowSolution:
     """Run the vorticity pipeline; velocity/pressure are evaluated
     on demand from the returned solution."""
-    return FlowSolution(problem, solve_vorticity(problem))
+    psi = vorticity_homogeneous(problem.curl_u0, problem.viscosity) + (
+        duhamel_particular(problem.curl_f, problem.viscosity)
+    )
+    return FlowSolution(problem, psi)

@@ -231,16 +231,14 @@ def _build_flow(entries) -> FlowProblem:
     if "curl_f" in entries:
         text, line = entries.pop("curl_f")
         curl_f = _parse_field(text, line)
-    potential = None
+    potential = ExpPoly.zero()
     if "phi" in entries:
         text, line = entries.pop("phi")
-        stripped = text.replace(" ", "")
-        if stripped in ("t/r", "t/sqrt(x^2+y^2+z^2)"):
+        if text.replace(" ", "") in ("t/r", "t/sqrt(x^2+y^2+z^2)"):
             potential = RadialPotential()
         else:
-            parsed = _parse_expr(text, line)
-            potential = None if parsed.is_zero() else parsed
-    force = None
+            potential = _parse_expr(text, line)
+    force = VectorField.zero()
     if "f" in entries:
         text, line = entries.pop("f")
         force = _parse_field(text, line)

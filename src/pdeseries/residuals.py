@@ -165,23 +165,21 @@ def fd_residual_evolution(u, problem, grid: GridSpec | None = None, order_used=N
 
 
 def fd_residual_heat(
-    u,
-    diffusivity: float,
-    grid: GridSpec | None = None,
-    spatial_vars=("x", "y", "z"),
-    order_used=None,
+    u, diffusivity: float, grid: GridSpec | None = None, order_used=None
 ):
-    """Residual of u_t = a^2 * (sum of second derivatives over
-    ``spatial_vars``); pass a single variable for the radial problem."""
+    """Residual of u_t = a^2 * (u_xx + u_yy + u_zz).
+
+    The radial problem needs no special case: for a candidate in x only
+    the y and z second differences are exactly zero.
+    """
     if grid is None:
         grid = GridSpec(
-            ranges={v: (-1.0, 1.0, 21) for v in spatial_vars}
+            ranges={v: (-1.0, 1.0, 21) for v in ("x", "y", "z")}
             | {"t": (0.05, 0.25, 11)}
         )
     mesh = grid.meshes()
     residual = _derivative(u, mesh, 3, 1, grid.ht)
-    for var in spatial_vars:
-        index = {"x": 0, "y": 1, "z": 2}[var]
+    for index in range(3):
         residual = residual - diffusivity * _derivative(u, mesh, index, 2, grid.hx)
     return _report(residual, mesh, order_used)
 

@@ -31,7 +31,6 @@ from pdeseries import (
     laplacian,
     parse_expression as pe,
     poly_close,
-    pressure,
     solve_flow,
     solve_series,
 )
@@ -181,7 +180,7 @@ def test_criterion_5_ball():
     cf = sol.closed_form
     assert cf.kind == "exponential"
     grid = GridSpec(ranges={"x": (0.1, 1.0, 19), "t": (0.01, 0.1, 10)})
-    res = fd_residual_heat(cf.grid_fn(), a2, grid, spatial_vars=("x",))
+    res = fd_residual_heat(cf.grid_fn(), a2, grid)
     assert res.max_abs < 1e-6, f"V residual {res.max_abs:.3e}"
     # spot-check the presentation T = e^{-a^2 kappa^2 t} sin(kappa r)/r
     for r, t in ((0.3, 0.05), (0.9, 0.02)):
@@ -234,7 +233,7 @@ def test_criterion_7_pressure():
         reference=(2.0, 0.0, 0.0, 0.0),
         p0=5.0,
     )
-    got = pressure(prob, (1.0, 1.0, 1.0, 0.0))
+    got = solve_flow(prob).pressure_at((1.0, 1.0, 1.0, 0.0))
     want = 5.0 + 0.5 - 1.0 / math.sqrt(3.0)
     assert abs(got - want) < 1e-12, f"pressure {got} != {want}"
     report(7, f"pressure at (1,1,1) with ref (2,0,0), p0=5: {got:.12f} "

@@ -220,13 +220,8 @@ class TestEigenAtoms:
         out = heat_semigroup(pe("exp(x+y+z)"), 0.25)
         assert_poly_close(out, pe("exp(0.75*t)*exp(x+y+z)"))
 
-    def test_semigroup_numeric_theta(self):
-        out = heat_semigroup(pe("sin(x)"), 0.5, theta=0.3)
-        assert_poly_close(out, pe("sin(x)").scale(math.exp(-0.15)), 1e-12)
-
     def test_semigroup_constant_unchanged(self):
         const = pe("4.5")
-        assert heat_semigroup(const, 1.0, theta=2.0) == const
         assert heat_semigroup(const, 1.0) == const
 
     def test_semigroup_rejects_non_eigen(self):

@@ -152,9 +152,7 @@ class TestBall:
         # r*T must satisfy the 1-D heat equation on the checking grid.
         sol = ball_series(BallProblem(1.0, pe("sin(x)")), 12)
         grid = GridSpec(ranges={"x": (0.1, 1.0, 19), "t": (0.01, 0.1, 10)})
-        report = fd_residual_heat(
-            sol.closed_form.grid_fn(), 1.0, grid, spatial_vars=("x",)
-        )
+        report = fd_residual_heat(sol.closed_form.grid_fn(), 1.0, grid)
         assert report.max_abs < 1e-6
 
     @settings(max_examples=40, deadline=None)

@@ -6,12 +6,12 @@ import pytest
 from pdeseries import (
     ExpPoly,
     FlowProblem,
+    FlowSolution,
     NonEigenAtomError,
     PotentialSingularityError,
     RadialPotential,
     VectorField,
     ZeroEigenvalueError,
-    assemble_velocity,
     curl,
     divergence,
     duhamel_particular,
@@ -21,7 +21,6 @@ from pdeseries import (
     laplacian,
     parse_expression as pe,
     poly_close,
-    pressure,
     solve_flow,
     vorticity_homogeneous,
 )
@@ -42,6 +41,11 @@ def paper_flow_problem(**overrides):
     )
     kwargs.update(overrides)
     return FlowProblem(**kwargs)
+
+
+def pressure_at(problem, query):
+    # The pressure depends on the problem data only, not on psi.
+    return FlowSolution(problem, VectorField.zero()).pressure_at(query)
 
 
 class TestVorticityHomogeneous:
@@ -177,14 +181,16 @@ class TestInverseLaplacianSymbolic:
 
 class TestVelocityAssembly:
     def test_pure_potential(self):
-        u = assemble_velocity(VectorField.zero(), pe("x*y*z"))
+        u = FlowSolution(
+            FlowProblem(NU, potential=pe("x*y*z")), VectorField.zero()
+        ).velocity_symbolic()
         assert_poly_close(u.cx, pe("y*z"))
         assert_poly_close(u.cy, pe("x*z"))
         assert_poly_close(u.cz, pe("x*y"))
 
     def test_divergence_free_and_poisson(self):
         psi = VectorField(ExpPoly.zero(), ExpPoly.zero(), pe("exp(-0.1*t)*sin(x)"))
-        u = assemble_velocity(psi)
+        u = FlowSolution(FlowProblem(NU), psi).velocity_symbolic()
         assert divergence(u).is_zero()
         # Lap(u) == -curl(psi) when no potential part is present
         neg_curl = curl(psi).scale(-1.0)
@@ -194,40 +200,42 @@ class TestVelocityAssembly:
     def test_radial_potential_needs_pointwise_path(self):
         psi = VectorField(ExpPoly.zero(), ExpPoly.zero(), pe("sin(x)"))
         with pytest.raises(ValueError):
-            assemble_velocity(psi, RadialPotential())
+            FlowSolution(
+                FlowProblem(NU, potential=RadialPotential()), psi
+            ).velocity_symbolic()
 
     def test_harmonic_vorticity_rejected_symbolically(self):
         psi = VectorField(pe("exp(t)"), ExpPoly.zero(), ExpPoly.zero())
         with pytest.raises(ZeroEigenvalueError):
-            assemble_velocity(psi)
+            FlowSolution(FlowProblem(NU), psi).velocity_symbolic()
 
 
 class TestPressure:
     def test_paper_values(self):
         prob = paper_flow_problem()
-        got = pressure(prob, (1.0, 1.0, 1.0, 0.4))
+        got = pressure_at(prob, (1.0, 1.0, 1.0, 0.4))
         assert got == pytest.approx(5 + 0.5 - 1 / math.sqrt(3), abs=1e-12)
 
     def test_query_at_reference(self):
         prob = paper_flow_problem()
-        assert pressure(prob, prob.reference) == pytest.approx(prob.p0)
+        assert pressure_at(prob, prob.reference) == pytest.approx(prob.p0)
 
     def test_no_potential_constant_pressure(self):
-        prob = paper_flow_problem(potential=None)
+        prob = paper_flow_problem(potential=ExpPoly.zero())
         for q in ((1, 1, 1, 0), (0.2, -0.4, 0.8, 1.0)):
-            assert pressure(prob, q) == pytest.approx(5.0)
+            assert pressure_at(prob, q) == pytest.approx(5.0)
 
     def test_singularity(self):
         prob = paper_flow_problem()
         with pytest.raises(PotentialSingularityError):
-            pressure(prob, (0.0, 0.0, 0.0, 0.0))
+            pressure_at(prob, (0.0, 0.0, 0.0, 0.0))
 
     def test_gauge_invariance_constant_shift(self):
         # Adding a constant to an ExpPoly potential leaves pressure alone.
         base = pe("x*y*z")
         q = (0.7, -0.3, 0.5, 0.2)
-        p1 = pressure(paper_flow_problem(potential=base), q)
-        p2 = pressure(paper_flow_problem(potential=base + pe("11")), q)
+        p1 = pressure_at(paper_flow_problem(potential=base), q)
+        p2 = pressure_at(paper_flow_problem(potential=base + pe("11")), q)
         assert p1 == pytest.approx(p2, abs=1e-12)
 
     def test_reference_shift_consistency(self):
@@ -235,18 +243,19 @@ class TestPressure:
         # query value unchanged.
         prob = paper_flow_problem()
         new_ref = (1.5, 0.5, -0.5, 0.3)
-        p0_new = pressure(prob, new_ref)
+        p0_new = pressure_at(prob, new_ref)
         moved = paper_flow_problem(reference=new_ref, p0=p0_new)
         for q in ((1, 1, 1, 0.2), (0.4, 0.9, -1.2, 0.8), (2.5, 0.1, 0.1, 0.0)):
-            assert pressure(moved, q) == pytest.approx(pressure(prob, q), abs=1e-12)
+            want = pressure_at(prob, q)
+            assert pressure_at(moved, q) == pytest.approx(want, abs=1e-12)
 
     def test_force_term_enters_symbolically(self):
         f = VectorField(pe("sin(x)"), ExpPoly.zero(), ExpPoly.zero())
-        prob = paper_flow_problem(potential=None, f=f)
+        prob = paper_flow_problem(potential=ExpPoly.zero(), f=f)
         # div(invLap f) = d/dx(-sin x) = -cos x
         q = (0.6, 0.0, 0.0, 0.0)
         expect = 5.0 - (-math.cos(2.0)) + (-math.cos(0.6))
-        assert pressure(prob, q) == pytest.approx(expect, abs=1e-12)
+        assert pressure_at(prob, q) == pytest.approx(expect, abs=1e-12)
 
 
 class TestSolveFlow:
@@ -280,7 +289,9 @@ class TestSolveFlow:
 
     def test_initial_vorticity(self):
         sol = solve_flow(paper_flow_problem())
-        assert sol.initial_vorticity_matches(1e-10)
+        at0 = sol.psi.map(lambda comp: comp.substitute_t(0.0))
+        for got, want in zip(at0.components(), sol.problem.curl_u0.components()):
+            assert poly_close(got, want, 1e-10)
 
     def test_zero_data_flow(self):
         prob = FlowProblem(viscosity=0.2, p0=3.5)
@@ -298,6 +309,12 @@ class TestSolveFlow:
             0.1, VectorField(pe("sin(y)"), ExpPoly.zero(), ExpPoly.zero())
         )
         assert_poly_close(prob.curl_u0.cz, pe("-cos(y)"))
+
+    def test_none_potential_rejected(self):
+        with pytest.raises(TypeError):
+            FlowProblem(NU, potential=None)
+        with pytest.raises(TypeError):
+            FlowProblem(NU, f=None)
 
     def test_harmonic_potential_validated(self):
         with pytest.raises(ValueError):

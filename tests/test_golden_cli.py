@@ -3,8 +3,8 @@
 Each case runs ``pdeseries.cli.main`` in-process and compares against the
 reference files under ``tests/golden/``:
 
-- stdout byte for byte, after the temporary output directory has been
-  replaced by ``<tmp>``, and the exit code;
+- stdout and stderr byte for byte, after the temporary output directory
+  has been replaced by ``<tmp>``, and the exit code;
 - every CSV it writes: the point columns byte for byte, the value columns
   to 1e-15 relative to the largest value magnitude in that file (complex
   division and exponentials may round differently in the last bit
@@ -41,6 +41,12 @@ SOLVE_FILES = (
     "heat_product_modes",
 )
 QUADRATURE_SPEC = "x:-0.5:0.5:2,y:0.2:0.2:1,z:0.3:0.3:1,t:0.3:0.3:1"
+# Flow inputs kept next to their references: one with no phi and no f,
+# one with an expression potential, a force field and the literal kernel.
+FLOW_FILES = {
+    "flow_defaults": [],
+    "flow_phi_force_literal": ["--mode", "paper_literal"],
+}
 
 
 def _cases():
@@ -59,6 +65,13 @@ def _cases():
          "--nspace", "8", "--ntau", "4"],
         ["vel_ux.csv", "vel_uy.csv", "vel_uz.csv"],
     )
+    for stem, extra in FLOW_FILES.items():
+        cases[stem] = (
+            ["flow", str(GOLDEN / f"{stem}.prob"), "--pressure", "0.3,-0.2,0.7,0.4",
+             "--quadrature", QUADRATURE_SPEC, "--csv", "{tmp}/vel.csv",
+             "--nspace", "8", "--ntau", "4", *extra],
+            ["vel_ux.csv", "vel_uy.csv", "vel_uz.csv"],
+        )
     return cases
 
 
@@ -66,15 +79,17 @@ CASES = _cases()
 
 
 def run_case(name, tmp: Path):
-    """Exit code, placeholder stdout and {file: text} of the CSVs written."""
+    """Exit code, placeholder stdout and stderr, and {file: text} of the
+    CSVs written."""
     argv, outputs = CASES[name]
     argv = [arg.replace("{tmp}", str(tmp)) for arg in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     stdout = out.getvalue().replace(str(tmp), PLACEHOLDER)
+    stderr = err.getvalue().replace(str(tmp), PLACEHOLDER)
     files = {f: (tmp / f).read_text(encoding="utf-8") for f in outputs}
-    return code, stdout, files
+    return code, stdout, stderr, files
 
 
 def _csv_split(text):
@@ -87,10 +102,11 @@ def _csv_split(text):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_cli(name, tmp_path):
-    code, stdout, files = run_case(name, tmp_path)
+    code, stdout, stderr, files = run_case(name, tmp_path)
     exits = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert code == exits[name]
     assert stdout == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+    assert stderr == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
     for fname, text in files.items():
         want_header, want_points, want_values = _csv_split(
             (GOLDEN / f"{name}__{fname}").read_text(encoding="utf-8")
@@ -109,9 +125,10 @@ def _regenerate():
     exits = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            code, stdout, files = run_case(name, Path(tmp))
+            code, stdout, stderr, files = run_case(name, Path(tmp))
         exits[name] = code
         (GOLDEN / f"{name}.stdout").write_text(stdout, encoding="utf-8")
+        (GOLDEN / f"{name}.stderr").write_text(stderr, encoding="utf-8")
         for fname, text in files.items():
             (GOLDEN / f"{name}__{fname}").write_text(text, encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(

@@ -12,8 +12,8 @@ from pdeseries import (
     inverse_laplacian_symbolic,
     parse_expression as pe,
     solve_flow,
-    velocity_samples,
     FlowProblem,
+    FlowSolution,
 )
 
 # Probe points sit well inside [-pi, pi]^3 with |sin x| bounded away
@@ -82,7 +82,9 @@ class TestVelocitySamples:
         # psi = (0, 0, sin x): u = (0, -cos x, 0) symbolically.
         psi = VectorField(ExpPoly.zero(), ExpPoly.zero(), pe("sin(x)"))
         pts = [(0.4, 0.1, -0.2), (-0.9, 0.5, 0.3)]
-        samples = velocity_samples(psi, None, pts, settings=QuadratureSettings())
+        samples = FlowSolution(FlowProblem(0.1), psi).velocity_at(
+            pts, settings=QuadratureSettings()
+        )
         for (x, _, _), row in zip(pts, samples):
             assert abs(row[0].real) < 3e-2
             assert row[1].real == pytest.approx(-math.cos(x), abs=4e-2)
@@ -92,7 +94,9 @@ class TestVelocitySamples:
         psi = VectorField.zero()
         pts = [(1.0, 1.0, 1.0)]
         t_val = 0.5
-        samples = velocity_samples(psi, RadialPotential(), pts, t=t_val, settings=FAST)
+        samples = FlowSolution(
+            FlowProblem(0.1, potential=RadialPotential()), psi
+        ).velocity_at(pts, t=t_val, settings=FAST)
         r3 = 3.0 ** 1.5
         expect = -t_val / r3
         for comp in range(3):
@@ -102,8 +106,12 @@ class TestVelocitySamples:
         # phi = x*y is harmonic; its gradient (y, x, 0) is added exactly.
         psi = VectorField(ExpPoly.zero(), ExpPoly.zero(), pe("sin(x)"))
         pts = [(0.5, 0.2, -0.3), (-0.4, 0.9, 0.1)]
-        with_phi = velocity_samples(psi, pe("x*y"), pts, t=0.3, settings=FAST)
-        without = velocity_samples(psi, None, pts, t=0.3, settings=FAST)
+        with_phi = FlowSolution(FlowProblem(0.1, potential=pe("x*y")), psi).velocity_at(
+            pts, t=0.3, settings=FAST
+        )
+        without = FlowSolution(FlowProblem(0.1), psi).velocity_at(
+            pts, t=0.3, settings=FAST
+        )
         for (x, y, _), row in zip(pts, with_phi - without):
             assert np.abs(row - (y, x, 0.0)).max() < 1e-12
 

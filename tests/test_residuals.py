@@ -110,7 +110,7 @@ class TestHeatResidual:
     def test_constant(self):
         u = lambda X, Y, Z, T: np.ones(np.broadcast(X, T).shape)
         grid = GridSpec(ranges={"x": (-1, 1, 5), "t": (0.05, 0.25, 5)})
-        report = fd_residual_heat(u, 1.0, grid, spatial_vars=("x",))
+        report = fd_residual_heat(u, 1.0, grid)
         assert report.max_abs < 1e-12
 
     def test_paper_flow_component(self):
@@ -127,7 +127,7 @@ class TestHeatResidual:
         reports = []
         for h in (4e-2, 2e-2):
             grid = GridSpec(ranges={"x": (-1, 1, 5), "t": (0.05, 0.25, 5)}, hx=h, ht=h)
-            reports.append(fd_residual_heat(u.grid_fn(), 1.0, grid, spatial_vars=("x",)))
+            reports.append(fd_residual_heat(u.grid_fn(), 1.0, grid))
         ratio = reports[0].max_abs / reports[1].max_abs
         assert 3.3 < ratio < 4.7
 
