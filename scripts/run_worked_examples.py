@@ -25,6 +25,7 @@ from pdeseries import (
     parse_expression as pe,
     solve_flow,
     solve_series,
+    temperature_display,
     to_display,
 )
 
@@ -67,11 +68,11 @@ def main():
     )
 
     banner("4. Radial ball  T_t = a^2 (T_rr + 2/r T_r),  V = r*T = sin r")
-    sol = ball_series(BallProblem(1.0, pe("sin(x)")), 12)
-    print(f"  V closed form: {sol.closed_form.display()}")
-    print(f"  T(r, t) = {sol.display_temperature()}")
+    cf = detect_closed_form(ball_series(BallProblem(1.0, pe("sin(x)")), 12))
+    print(f"  V closed form: {cf.display()}")
+    print(f"  T(r, t) = {temperature_display(cf)}")
     grid = GridSpec(ranges={"x": (0.1, 1.0, 19), "t": (0.01, 0.1, 10)})
-    res = fd_residual_heat(sol.closed_form.grid_fn(), 1.0, grid)
+    res = fd_residual_heat(cf.grid_fn(), 1.0, grid)
     print(f"  1-D residual on V: {res}")
 
     banner("5. Linearized flow, nu = 0.1")

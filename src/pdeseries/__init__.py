@@ -12,15 +12,13 @@ from .algebra import (
     gradient,
     heat_semigroup,
     laplacian,
-    poly_close,
 )
 from .diffusion import (
     BallProblem,
-    BallSolution,
     HeatProblem,
     ball_series,
-    growth_flag,
     heat_series,
+    temperature_display,
 )
 from .errors import (
     AtomBudgetError,
@@ -48,13 +46,11 @@ from .flow import (
     inverse_laplacian_quadrature,
     inverse_laplacian_symbolic,
     solve_flow,
-    vorticity_homogeneous,
 )
 from .problemfile import ProblemFile, load_problem, load_problem_file
 from .residuals import (
     GridSpec,
     ResidualReport,
-    fd_check_initial,
     fd_residual_evolution,
     fd_residual_heat,
     stencil,
@@ -68,7 +64,6 @@ __all__ = [
     "Atom",
     "AtomBudgetError",
     "BallProblem",
-    "BallSolution",
     "ClosedForm",
     "EvolutionProblem",
     "ExpPoly",
@@ -97,11 +92,9 @@ __all__ = [
     "divergence",
     "duhamel_particular",
     "eigenvalue",
-    "fd_check_initial",
     "fd_residual_evolution",
     "fd_residual_heat",
     "gradient",
-    "growth_flag",
     "heat_semigroup",
     "heat_series",
     "inverse_laplacian_quadrature",
@@ -110,11 +103,10 @@ __all__ = [
     "load_problem",
     "load_problem_file",
     "parse_expression",
-    "poly_close",
     "recursion_step",
     "solve_flow",
     "solve_series",
     "stencil",
+    "temperature_display",
     "to_display",
-    "vorticity_homogeneous",
 ]

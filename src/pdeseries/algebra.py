@@ -26,7 +26,6 @@ from .errors import AtomBudgetError, NonEigenAtomError
 
 VARIABLES = ("x", "y", "z", "t")
 VAR_INDEX = {v: i for i, v in enumerate(VARIABLES)}
-SPATIAL_INDICES = (0, 1, 2)
 
 # Coefficients smaller than this (absolute) are dropped on normalization.
 MERGE_TOL = 1e-14
@@ -48,9 +47,6 @@ class Atom:
 
     def key(self):
         return (self.powers, self.expo)
-
-    def spatial_degree(self) -> int:
-        return sum(self.powers[i] for i in SPATIAL_INDICES)
 
 
 def _sort_key(atom: Atom):
@@ -329,30 +325,3 @@ def divergence(field: VectorField) -> ExpPoly:
 def gradient(poly: ExpPoly) -> VectorField:
     return VectorField(poly.diff("x"), poly.diff("y"), poly.diff("z"))
 
-
-def poly_close(a: ExpPoly, b: ExpPoly, tol: float = 1e-10) -> bool:
-    """Atom-wise comparison with mixed absolute/relative tolerance.
-
-    Atom classes are matched on (powers, exponent rounded to 9 decimal
-    places) so tiny float drift in exponent slopes does not split
-    classes; coefficients must then agree within tol * max(1, scale).
-    """
-
-    def bucket(poly):
-        d = {}
-        for at in poly.atoms:
-            expo_key = tuple(
-                (round(c.real, 9), round(c.imag, 9)) for c in at.expo
-            )
-            k = (at.powers, expo_key)
-            d[k] = d.get(k, 0j) + at.coeff
-        return d
-
-    da, db = bucket(a), bucket(b)
-    scale = max(
-        [abs(c) for c in da.values()] + [abs(c) for c in db.values()] + [1.0]
-    )
-    for k in set(da) | set(db):
-        if abs(da.get(k, 0j) - db.get(k, 0j)) > tol * scale:
-            return False
-    return True

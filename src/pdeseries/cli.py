@@ -18,7 +18,9 @@ the heat-kernel inverse Laplacian.
 Grid SPEC syntax: comma-separated axes ``var:lo:hi:count``, e.g.
 ``x:-1:1:21,t:0.05:0.25:11``; unlisted variables are fixed at 0. A
 malformed spec, or one given without --csv, exits with status 2 before
-anything is solved. --sample writes the candidate that --verify checks.
+anything is solved, as do a negative --order, a --tolerance that is not
+finite and positive, and quadrature settings that QuadratureSettings
+rejects. --sample writes the candidate that --verify checks.
 
 Diagnostics go to stderr, results to stdout. Exit status is 0 only if
 no solver error occurred and, with --verify, the residual beat the
@@ -35,7 +37,7 @@ import sys
 import numpy as np
 
 from .algebra import VARIABLES
-from .diffusion import ball_series, heat_series
+from .diffusion import ball_series, heat_series, temperature_display
 from .errors import PdeSeriesError
 from .evolution import solve_series
 from .flow import QuadratureSettings, RadialPotential, solve_flow
@@ -94,9 +96,10 @@ def _write_csv(path: str, points, values):
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "z", "t", "value_re", "value_im"])
         for point, value in zip(points, values):
+            # + 0.0 writes a signed zero as 0, never -0
             writer.writerow(
                 [f"{v:.17g}" for v in point]
-                + [f"{value.real:.17g}", f"{value.imag:.17g}"]
+                + [f"{value.real + 0.0:.17g}", f"{value.imag + 0.0:.17g}"]
             )
     print(f"wrote {len(values)} samples to {path}")
 
@@ -126,34 +129,29 @@ def _solve_verify_grid(kind, problem) -> GridSpec:
 
 
 def cmd_solve(args) -> int:
+    if args.order < 0:
+        raise _UsageError("--order must be nonnegative")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise _UsageError("--tolerance must be finite and positive")
     axes = _grid_axes(args.sample, args.csv, "--sample")
     pf = load_problem_file(args.file)
     if pf.kind == "flow":
         print("use the 'flow' subcommand for flow problems", file=sys.stderr)
         return 2
-    ball = None
-    if pf.kind == "evolution":
-        series = solve_series(pf.problem, args.order)
-    elif pf.kind == "heat":
-        series = heat_series(pf.problem, args.order)
-    else:
-        ball = ball_series(pf.problem, args.order)
-        series = ball.v_series
+    solver = {"evolution": solve_series, "heat": heat_series, "ball": ball_series}
+    series = solver[pf.kind](pf.problem, args.order)
     _print_series(series, args.order)
     closed = detect_closed_form(series)
+    ball = pf.kind == "ball"
     if closed:
-        label = closed.kind
-        if ball is not None:
-            print(f"closed form ({label}, on V = r*T): {closed.display()}")
-            print(f"temperature: {ball.display_temperature()}")
-        else:
-            print(f"closed form ({label}): {closed.display()}")
+        on_v = ", on V = r*T" if ball else ""
+        print(f"closed form ({closed.kind}{on_v}): {closed.display()}")
+        if ball:
+            print(f"temperature: {temperature_display(closed)}")
     else:
         print("closed form: none detected")
-    if ball is not None and pf.problem.radius is not None and (
-        pf.problem.boundary_coeff is not None
-    ):
-        defect = ball.boundary_defect(t=0.05)
+    if ball and None not in (pf.problem.radius, pf.problem.boundary_coeff):
+        defect = pf.problem.boundary_defect(series, t=0.05)
         print(f"boundary defect |dV/dr + (h - 1/R) V| at r=R, t=0.05: {defect:.3e}")
     candidate = closed.grid_fn() if closed else series.partial_sum(args.order).grid_fn()
     status = 0
@@ -184,6 +182,16 @@ def cmd_solve(args) -> int:
 
 def cmd_flow(args) -> int:
     axes = _grid_axes(args.quadrature, args.csv, "--quadrature")
+    if axes is not None:
+        try:
+            settings = QuadratureSettings(
+                box=(-args.box, args.box),
+                horizon=args.horizon,
+                n_space=args.nspace,
+                n_tau=args.ntau,
+            )
+        except ValueError as err:
+            raise _UsageError(err) from None
     pf = load_problem_file(args.file)
     if pf.kind != "flow":
         print("the 'flow' subcommand needs a flow problem file", file=sys.stderr)
@@ -224,12 +232,6 @@ def cmd_flow(args) -> int:
             print(f"pressure error: {err}", file=sys.stderr)
             status = 2
     if axes is not None:
-        settings = QuadratureSettings(
-            box=(-args.box, args.box),
-            horizon=args.horizon,
-            n_space=args.nspace,
-            n_tau=args.ntau,
-        )
         points = _mesh_points(axes)
         slices, samples = [], []
         # One quadrature call per time value, in order of first appearance.

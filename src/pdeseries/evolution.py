@@ -77,9 +77,6 @@ class PowersTable:
     def __init__(self, base: list[ExpPoly]):
         self.rows: dict[int, list[ExpPoly]] = {1: base}
 
-    def append_base(self, value: ExpPoly):
-        self.rows[1].append(value)
-
     def entry(self, p: int, n: int) -> ExpPoly:
         """Coefficient of the p-th power of the series at index n."""
         if p < 1:
@@ -182,5 +179,5 @@ def solve_series(problem: EvolutionProblem, nmax: int = 12) -> SeriesSolution:
             raise ResonanceError(err.lam, step=n + 1) from None
         except AtomBudgetError as err:
             raise AtomBudgetError(err.count, err.cap, step=n + 1) from None
-        table.append_base(nxt)
+        table.rows[1].append(nxt)
     return SeriesSolution(tuple(table.rows[1]))

@@ -30,6 +30,7 @@ formula; the two differ in sign and scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,11 +156,6 @@ class FlowProblem:
 # ---------------------------------------------------------------------
 
 
-def vorticity_homogeneous(curl_u0: VectorField, viscosity: float) -> VectorField:
-    """Heat semigroup applied componentwise to the initial vorticity."""
-    return curl_u0.map(lambda comp: heat_semigroup(comp, viscosity))
-
-
 def _duhamel_atom(atom: Atom, viscosity: float) -> list[Atom]:
     """Closed form of integral_0^t e^{mu(t-s)} s^m e^{rho s} ds applied
     to one forcing atom, where mu = nu * (spatial eigenvalue)."""
@@ -258,6 +254,18 @@ class QuadratureSettings:
     n_space: int = 48
     n_tau: int = 32
     tau_min: float = 1e-4
+
+    def __post_init__(self):
+        for name in ("n_space", "n_tau"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {count!r}")
+        lo, hi = self.box
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"box must be finite with lo < hi, not {self.box!r}")
+        if not (math.isfinite(self.horizon) and 0 < self.tau_min < self.horizon):
+            raise ValueError(f"need finite 0 < tau_min={self.tau_min!r} "
+                             f"< horizon={self.horizon!r}")
 
 
 def inverse_laplacian_quadrature(
@@ -361,9 +369,7 @@ class FlowSolution:
         if isinstance(potential, RadialPotential):
             for idx, (px, py, pz) in enumerate(pts):
                 out[idx] += potential.grad((px, py, pz, t))
-        elif not potential.is_zero():
-            # Skipped for the zero potential so that a -0.0 sample keeps
-            # its sign; adding 0.0 would turn it into +0.0.
+        else:
             px, py, pz = pts.T
             for comp, g in enumerate(gradient(potential).components()):
                 out[:, comp] += g.grid_fn()(px, py, pz, t)
@@ -396,7 +402,8 @@ class FlowSolution:
 def solve_flow(problem: FlowProblem) -> FlowSolution:
     """Run the vorticity pipeline; velocity/pressure are evaluated
     on demand from the returned solution."""
-    psi = vorticity_homogeneous(problem.curl_u0, problem.viscosity) + (
-        duhamel_particular(problem.curl_f, problem.viscosity)
+    nu = problem.viscosity
+    psi = problem.curl_u0.map(lambda comp: heat_semigroup(comp, nu)) + (
+        duhamel_particular(problem.curl_f, nu)
     )
     return FlowSolution(problem, psi)

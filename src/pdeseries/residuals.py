@@ -183,12 +183,3 @@ def fd_residual_heat(
         residual = residual - diffusivity * _derivative(u, mesh, index, 2, grid.hx)
     return _report(residual, mesh, order_used)
 
-
-def fd_check_initial(u, datum, grid: GridSpec | None = None):
-    """max |u(., 0) - datum(.)| over a spatial grid."""
-    grid = grid or GridSpec(ranges={"x": (-1.0, 1.0, 21)})
-    spatial = {n: r for n, r in grid.ranges.items() if n != "t"}
-    grid0 = GridSpec(ranges=spatial, hx=grid.hx, ht=grid.ht)
-    mesh = grid0.meshes()
-    residual = u(*mesh) - datum(*mesh)
-    return _report(residual, mesh)

@@ -8,7 +8,7 @@ import random
 
 from hypothesis import strategies as st
 
-from pdeseries import Atom, ExpPoly, poly_close
+from pdeseries import Atom, ExpPoly
 
 # Small building blocks keep evaluation magnitudes moderate so the
 # 1e-10 evaluation tolerances are meaningful.
@@ -87,6 +87,35 @@ def reference_evaluate(poly: ExpPoly, point) -> complex:
     return total
 
 
+def poly_close(a: ExpPoly, b: ExpPoly, tol: float = 1e-10) -> bool:
+    """Atom-wise comparison with mixed absolute/relative tolerance; the
+    suite's comparison oracle.
+
+    Atom classes are matched on (powers, exponent rounded to 9 decimal
+    places) so tiny float drift in exponent slopes does not split
+    classes; coefficients must then agree within tol * max(1, scale).
+    """
+
+    def bucket(poly):
+        d = {}
+        for at in poly.atoms:
+            expo_key = tuple(
+                (round(c.real, 9), round(c.imag, 9)) for c in at.expo
+            )
+            k = (at.powers, expo_key)
+            d[k] = d.get(k, 0j) + at.coeff
+        return d
+
+    da, db = bucket(a), bucket(b)
+    scale = max(
+        [abs(c) for c in da.values()] + [abs(c) for c in db.values()] + [1.0]
+    )
+    for k in set(da) | set(db):
+        if abs(da.get(k, 0j) - db.get(k, 0j)) > tol * scale:
+            return False
+    return True
+
+
 def assert_poly_close(a: ExpPoly, b: ExpPoly, tol=1e-10, label=""):
     if not poly_close(a, b, tol):
         from pdeseries import to_display
@@ -95,6 +124,11 @@ def assert_poly_close(a: ExpPoly, b: ExpPoly, tol=1e-10, label=""):
             f"{label or 'expressions differ'}:\n  got      {to_display(a)}\n"
             f"  expected {to_display(b)}"
         )
+
+
+def ball_temperature(series, r, t, order=None) -> float:
+    """T = V/r of a ball series at radius r and time t."""
+    return series.partial_sum(order).evaluate((r, 0.0, 0.0, t)).real / r
 
 
 def brute_force_power_entry(coefficients, p, n):

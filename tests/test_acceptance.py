@@ -30,11 +30,10 @@ from pdeseries import (
     inverse_laplacian_symbolic,
     laplacian,
     parse_expression as pe,
-    poly_close,
     solve_flow,
     solve_series,
 )
-from helpers import brute_force_power_entry
+from helpers import ball_temperature, brute_force_power_entry, poly_close
 
 
 def report(num, text):
@@ -176,8 +175,8 @@ def test_criterion_5_ball():
     # kappa = 1 keeps the FD truncation of the exact solution below the
     # 1e-6 gate on the stated grid (error scales like kappa^6 h^2).
     kappa, a2 = 1.0, 1.0
-    sol = ball_series(BallProblem(a2, pe(f"sin({kappa}*x)")), 12)
-    cf = sol.closed_form
+    series = ball_series(BallProblem(a2, pe(f"sin({kappa}*x)")), 12)
+    cf = detect_closed_form(series)
     assert cf.kind == "exponential"
     grid = GridSpec(ranges={"x": (0.1, 1.0, 19), "t": (0.01, 0.1, 10)})
     res = fd_residual_heat(cf.grid_fn(), a2, grid)
@@ -185,13 +184,13 @@ def test_criterion_5_ball():
     # spot-check the presentation T = e^{-a^2 kappa^2 t} sin(kappa r)/r
     for r, t in ((0.3, 0.05), (0.9, 0.02)):
         want = math.exp(-a2 * kappa**2 * t) * math.sin(kappa * r) / r
-        assert sol.temperature(r, t) == pytest.approx(want, abs=1e-9)
+        assert ball_temperature(series, r, t) == pytest.approx(want, abs=1e-9)
     # T0 = 1: series terminates and T stays exactly 1
     const = ball_series(BallProblem.from_temperature(a2, pe("1")), 12)
-    assert all(w.is_zero() for w in const.v_series.coefficients[1:])
+    assert all(w.is_zero() for w in const.coefficients[1:])
     for r in (0.1, 0.45, 1.0):
         for t in (0.0, 0.07, 0.3):
-            assert const.temperature(r, t) == 1.0
+            assert ball_temperature(const, r, t) == 1.0
     report(5, f"V = sin(r) residual {res.max_abs:.2e} on r in [0.1,1], "
               "t in [0.01,0.1]; T0 = 1 gives T == 1 exactly")
 

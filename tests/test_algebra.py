@@ -17,9 +17,14 @@ from pdeseries import (
     heat_semigroup,
     laplacian,
     parse_expression as pe,
-    poly_close,
 )
-from helpers import assert_poly_close, exp_polys, random_points, reference_evaluate
+from helpers import (
+    assert_poly_close,
+    exp_polys,
+    poly_close,
+    random_points,
+    reference_evaluate,
+)
 
 
 class TestNormalization:

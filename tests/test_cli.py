@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from pdeseries import parse_expression as pe, poly_close
+from pdeseries import parse_expression as pe
 from pdeseries.cli import main
+from helpers import poly_close
 
 
 EX1 = """kind = evolution
@@ -157,6 +158,39 @@ class TestGridSpecValidation:
         assert not list(tmp_path.glob("out*.csv"))
 
     @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("solve", ["--order", "-1"]),
+            ("solve", ["--tolerance", "nan"]),
+            ("solve", ["--tolerance", "0"]),
+            ("solve", ["--tolerance", "inf"]),
+            ("flow", ["--ntau", "0"]),
+            ("flow", ["--nspace", "0"]),
+            ("flow", ["--nspace", "-4"]),
+            ("flow", ["--box", "0"]),
+            ("flow", ["--box", "-3"]),
+            ("flow", ["--box", "inf"]),
+            ("flow", ["--horizon", "0"]),
+            ("flow", ["--horizon", "nan"]),
+        ],
+        ids=lambda value: "=".join(value).lstrip("-") if isinstance(value, list) else value,
+    )
+    def test_bad_option(self, command, extra, write, tmp_path, capsys):
+        # Numbers that would solve into a traceback, a verify gate that
+        # cannot fail, or silently zero/nan/flipped velocities.
+        csv_path = tmp_path / "out.csv"
+        if command == "solve":
+            argv = ["solve", write("ex1.prob", EX1), "--verify", "--sample"]
+        else:
+            argv = ["flow", write("flow.prob", FLOW), "--quadrature"]
+        code = main(argv + ["x:0:1:3", "--csv", str(csv_path)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*.csv"))
+
+    @pytest.mark.parametrize(
         "command, option, text",
         [("solve", "--sample", EX1), ("flow", "--quadrature", FLOW)],
         ids=["solve", "flow"],
@@ -242,6 +276,25 @@ class TestFlowCommand:
             rows = list(csv.reader(fh))
         # literal kernel flips the sign relative to the standard mode
         assert float(rows[1][4]) > 0
+
+    def test_literal_mode_writes_unsigned_zeros(self, write, tmp_path):
+        # With no phi the literal kernel leaves value_im as -0.0; the CSV
+        # must spell every zero the same way in both modes.
+        text = "kind = flow\nnu = 0.1\ncurl_u0 = (0, sin(z), sin(x))\n"
+        base = str(tmp_path / "lit.csv")
+        code = main(
+            [
+                "flow", write("q.prob", text),
+                "--quadrature", "x:-0.5:0.5:2,y:0.2:0.2:1,z:0.3:0.3:1,t:0.3:0.3:1",
+                "--csv", base, "--mode", "paper_literal",
+                "--nspace", "8", "--ntau", "4",
+            ]
+        )
+        assert code == 0
+        for suffix in ("ux", "uy", "uz"):
+            with open(str(tmp_path / f"lit_{suffix}.csv")) as fh:
+                fields = [field for row in csv.reader(fh) for field in row]
+            assert "-0" not in fields
 
     def test_solve_file_rejected(self, write):
         code = main(["flow", write("e.prob", EX1)])

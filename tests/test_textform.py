@@ -8,10 +8,9 @@ from pdeseries import (
     ExpPoly,
     ExpressionSyntaxError,
     parse_expression as pe,
-    poly_close,
     to_display,
 )
-from helpers import assert_poly_close, exp_polys
+from helpers import assert_poly_close, exp_polys, poly_close
 
 
 class TestGrammar:
