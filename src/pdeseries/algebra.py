@@ -100,14 +100,6 @@ class ExpPoly:
         powers = tuple(1 if i == idx else 0 for i in range(4))
         return ExpPoly((Atom(1.0 + 0j, powers),))
 
-    @staticmethod
-    def exponential(slopes: dict, coeff=1.0) -> "ExpPoly":
-        """exp(sum slopes[v]*v) scaled by coeff; slopes keyed by variable name."""
-        expo = [0j, 0j, 0j, 0j]
-        for name, val in slopes.items():
-            expo[VAR_INDEX[name]] = complex(val)
-        return ExpPoly((Atom(complex(coeff), _ZERO4, tuple(expo)),))
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
@@ -185,9 +177,6 @@ class ExpPoly:
         idx = VAR_INDEX[var]
         return any(a.powers[idx] or a.expo[idx] != 0 for a in self.atoms)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(a.coeff) for a in self.atoms), default=0.0)
-
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, point) -> complex:
@@ -226,18 +215,6 @@ class ExpPoly:
             return total
 
         return evaluate_grid
-
-    def substitute_t(self, t0: float) -> "ExpPoly":
-        """Freeze t = t0, returning an expression in x, y, z only."""
-        out = []
-        for a in self.atoms:
-            c = a.coeff
-            if a.powers[3]:
-                c *= t0 ** a.powers[3]
-            if a.expo[3] != 0:
-                c *= cmath.exp(a.expo[3] * t0)
-            out.append(Atom(c, a.powers[:3] + (0,), a.expo[:3] + (0j,)))
-        return ExpPoly(out)
 
 
 # -- spatial operators on scalars and fields ---------------------------

@@ -27,6 +27,7 @@ Unknown keys are rejected with the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import ExpPoly, VectorField
@@ -74,6 +75,10 @@ def _parse_expr(text: str, line: int) -> ExpPoly:
         return parse_expression(text)
     except ExpressionSyntaxError as err:
         raise ProblemFileError(f"bad expression {text.strip()!r}: {err}", line) from None
+    except (OverflowError, ValueError):
+        raise ProblemFileError(
+            f"expression {text.strip()!r} has a non-finite constant", line
+        ) from None
 
 
 def _parse_field(text: str, line: int) -> VectorField:
@@ -86,9 +91,19 @@ def _parse_field(text: str, line: int) -> VectorField:
 
 def _parse_float(text: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ProblemFileError(f"expected a number, got {text.strip()!r}", line) from None
+    if not math.isfinite(value):
+        raise ProblemFileError(f"expected a finite number, got {text.strip()!r}", line)
+    return value
+
+
+def _parse_int(text: str, line: int) -> int:
+    value = _parse_float(text, line)
+    if not value.is_integer():
+        raise ProblemFileError(f"expected an integer, got {text.strip()!r}", line)
+    return int(value)
 
 
 def _read_pairs(text: str):
@@ -138,7 +153,10 @@ def load_problem(text: str) -> ProblemFile:
         "ball": _build_ball,
         "flow": _build_flow,
     }[kind]
-    problem = builder(entries)
+    try:
+        problem = builder(entries)
+    except ValueError as err:
+        raise ProblemFileError(str(err)) from None
     if entries:
         key, (_, lineno) = next(iter(entries.items()))
         raise ProblemFileError(f"unknown key {key!r} for kind {kind}", lineno)
@@ -166,29 +184,23 @@ def _build_evolution(entries) -> EvolutionProblem:
     i_text, i_line = _take(entries, "i", "1")
     k_text, k_line = _take(entries, "k", "1")
     h_text, h_line = _require(entries, "h", "evolution")
-    try:
-        return EvolutionProblem(
-            a=a,
-            b=b,
-            c=_parse_float(c_text, c_line),
-            mixed_order=int(_parse_float(i_text, i_line)),
-            nonlin_exponent=int(_parse_float(k_text, k_line)),
-            h=_parse_expr(h_text, h_line),
-        )
-    except ValueError as err:
-        raise ProblemFileError(str(err)) from None
+    return EvolutionProblem(
+        a=a,
+        b=b,
+        c=_parse_float(c_text, c_line),
+        mixed_order=_parse_int(i_text, i_line),
+        nonlin_exponent=_parse_int(k_text, k_line),
+        h=_parse_expr(h_text, h_line),
+    )
 
 
 def _build_heat(entries) -> HeatProblem:
     a2_text, a2_line = _require(entries, "a2", "heat")
     u0_text, u0_line = _require(entries, "u0", "heat")
-    try:
-        return HeatProblem(
-            diffusivity=_parse_float(a2_text, a2_line),
-            u0=_parse_expr(u0_text, u0_line),
-        )
-    except ValueError as err:
-        raise ProblemFileError(str(err)) from None
+    return HeatProblem(
+        diffusivity=_parse_float(a2_text, a2_line),
+        u0=_parse_expr(u0_text, u0_line),
+    )
 
 
 def _build_ball(entries) -> BallProblem:
@@ -205,18 +217,15 @@ def _build_ball(entries) -> BallProblem:
     has_v0 = "V0" in entries
     if has_t0 == has_v0:
         raise ProblemFileError("ball problem needs exactly one of T0, V0")
-    try:
-        if has_v0:
-            text, line = entries.pop("V0")
-            return BallProblem(
-                _parse_float(a2_text, a2_line), _parse_expr(text, line), radius, boundary
-            )
-        text, line = entries.pop("T0")
-        return BallProblem.from_temperature(
+    if has_v0:
+        text, line = entries.pop("V0")
+        return BallProblem(
             _parse_float(a2_text, a2_line), _parse_expr(text, line), radius, boundary
         )
-    except ValueError as err:
-        raise ProblemFileError(str(err)) from None
+    text, line = entries.pop("T0")
+    return BallProblem.from_temperature(
+        _parse_float(a2_text, a2_line), _parse_expr(text, line), radius, boundary
+    )
 
 
 def _build_flow(entries) -> FlowProblem:
@@ -254,15 +263,12 @@ def _build_flow(entries) -> FlowProblem:
         text, line = entries.pop("p0")
         p0 = _parse_float(text, line)
     nu = _parse_float(nu_text, nu_line)
-    try:
-        if has_u0:
-            text, line = entries.pop("u0")
-            return FlowProblem.from_velocity(
-                nu, _parse_field(text, line), curl_f, potential, force, reference, p0
-            )
-        text, line = entries.pop("curl_u0")
-        return FlowProblem(
+    if has_u0:
+        text, line = entries.pop("u0")
+        return FlowProblem.from_velocity(
             nu, _parse_field(text, line), curl_f, potential, force, reference, p0
         )
-    except ValueError as err:
-        raise ProblemFileError(str(err)) from None
+    text, line = entries.pop("curl_u0")
+    return FlowProblem(
+        nu, _parse_field(text, line), curl_f, potential, force, reference, p0
+    )

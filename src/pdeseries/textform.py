@@ -252,7 +252,7 @@ def _fmt_complex(value: complex) -> str:
     return f"({_fmt_real(re_)}{sign}{imag})"
 
 
-def _fmt_linear(vec, fmt=_fmt_real) -> str:
+def _fmt_linear(vec) -> str:
     """Render a linear form like ``x - 2*y + 0.5*t``."""
     parts = []
     for name, c in zip(VARIABLES, vec):
@@ -265,7 +265,7 @@ def _fmt_linear(vec, fmt=_fmt_real) -> str:
         elif c == -1:
             text = f"-{name}"
         else:
-            coeff = fmt(c) if not isinstance(c, complex) else _fmt_complex(c)
+            coeff = _fmt_real(c) if not isinstance(c, complex) else _fmt_complex(c)
             text = f"{coeff}*{name}"
         if parts and not text.startswith("-"):
             parts.append("+" + text)
@@ -364,7 +364,7 @@ def to_display(poly: ExpPoly) -> str:
         # Unpaired complex exponential: raw display.
         consumed.add(atom.key())
         factors = _monomial_factors(atom.powers)
-        factors.append(f"exp({_fmt_linear(atom.expo, fmt=_fmt_real)})")
+        factors.append(f"exp({_fmt_linear(atom.expo)})")
         terms.append(_render_term(atom.coeff, factors))
     if not terms:
         return "0"

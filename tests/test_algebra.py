@@ -166,13 +166,6 @@ class TestEvaluation:
             for p in random_points(8, rng):
                 assert abs(poly.evaluate(p).imag) < 1e-10
 
-    def test_substitute_t(self):
-        poly = pe("t*sin(x) + exp(2*t)*cos(x)")
-        frozen = poly.substitute_t(0.5)
-        assert not frozen.depends_on("t")
-        expected = 0.5 * math.sin(0.3) + math.exp(1.0) * math.cos(0.3)
-        assert frozen.evaluate((0.3, 0, 0, 0)).real == pytest.approx(expected)
-
 
 class TestSpatialOperators:
     def test_laplacian_eigen_product(self):

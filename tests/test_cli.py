@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
-from pdeseries import parse_expression as pe
+from pdeseries import cli, parse_expression as pe
 from pdeseries.cli import main
 from helpers import poly_close
 
@@ -94,6 +96,27 @@ class TestSolveCommand:
             ["solve", write("ex1.prob", EX1), "--verify", "--tolerance", "1e-12"]
         )
         assert code == 1
+
+    def test_verify_fails_on_wrong_initial_datum(self, monkeypatch, capsys):
+        # Doubling the closed form's base still solves the (linear) heat
+        # equation, so only the check at t = 0 can reject it.
+        detect = cli.detect_closed_form
+
+        def doubled(series):
+            closed = detect(series)
+            assert closed.kind == "exponential"
+            return dataclasses.replace(closed, base=closed.base.scale(2))
+
+        monkeypatch.setattr(cli, "detect_closed_form", doubled)
+        prob = Path(__file__).resolve().parent.parent / "problems/heat_product_modes.prob"
+        code = main(["solve", str(prob), "--verify"])
+        failures = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("verify FAILED")
+        ]
+        assert code == 1
+        assert len(failures) == 1
+        assert failures[0].startswith("verify FAILED: initial-datum defect")
 
     def test_sample_csv(self, write, tmp_path, capsys):
         csv_path = str(tmp_path / "out.csv")

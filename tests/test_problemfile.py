@@ -151,3 +151,28 @@ class TestFileLevelErrors:
         with pytest.raises(ProblemFileError) as err:
             load_problem("kind = heat\na2 1\nu0 = x\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("kind = evolution\na.1 = -1\ni = inf\nh = sin(x)\n", 3,
+                         id="i-inf"),
+            pytest.param("kind = evolution\na.1 = -1\ni = 2.5\nh = sin(x)\n", 3,
+                         id="i-fraction"),
+            pytest.param("kind = evolution\na.1 = -1\nk = 1.5\nh = sin(x)\n", 3,
+                         id="k-fraction"),
+            pytest.param("kind = evolution\na.1 = nan\nh = sin(x)\n", 2, id="a1-nan"),
+            pytest.param("kind = heat\na2 = nan\nu0 = sin(x)\n", 2, id="a2-nan"),
+            pytest.param("kind = heat\na2 = 1\nu0 = exp(1000)\n", 3, id="exp-overflow"),
+            pytest.param("kind = heat\na2 = 1\nu0 = 1e400*x\n", 3, id="inf-literal"),
+            pytest.param("kind = ball\na2 = 1\nV0 = sin(x)\nR = inf\n", 4, id="R-inf"),
+            pytest.param("kind = flow\nnu = nan\ncurl_u0 = (0, 0, sin(x))\n", 2,
+                         id="nu-nan"),
+            pytest.param("kind = flow\nnu = 1\ncurl_u0 = (0, 0, exp(800)*exp(800))\n",
+                         3, id="product-overflow"),
+        ],
+    )
+    def test_bad_number_reports_line(self, text, line):
+        with pytest.raises(ProblemFileError) as err:
+            load_problem(text)
+        assert err.value.line == line

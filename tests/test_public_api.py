@@ -1,13 +1,15 @@
-"""Every name in ``pdeseries.__all__`` has a caller outside the tests.
+"""Every name in ``pdeseries.__all__`` has a caller outside the tests,
+and so does every public method and property of a class in it.
 
 A name counts as used when some library module (other than
 ``__init__.py``) or script refers to it as a name or an attribute,
-outside its own ``def``/``class``. References are read from the syntax
+outside its own top-level ``def``/``class``. References are read from the syntax
 tree, so a mention in a docstring or a comment does not count, and
 neither does an import that is never used.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pdeseries
@@ -40,6 +42,30 @@ def referenced_names(sources=SOURCES) -> set[str]:
 def test_every_public_name_has_a_caller():
     unused = sorted(set(pdeseries.__all__) - referenced_names())
     assert unused == [], f"public names with no library or script caller: {unused}"
+
+
+def public_members() -> set[str]:
+    """``Class.name`` of each public method and property of a class in
+    ``__all__`` that the class itself defines."""
+    members = set()
+    for name in pdeseries.__all__:
+        cls = getattr(pdeseries, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            if attr.startswith("_"):
+                continue
+            if inspect.isfunction(value) or isinstance(
+                value, (staticmethod, classmethod, property)
+            ):
+                members.add(f"{name}.{attr}")
+    return members
+
+
+def test_every_public_method_has_a_caller():
+    names = referenced_names()
+    unused = sorted(m for m in public_members() if m.split(".")[1] not in names)
+    assert unused == [], f"public methods with no library or script caller: {unused}"
 
 
 def test_docstring_mention_is_not_a_reference(tmp_path):

@@ -127,30 +127,54 @@ class TestVelocitySamples:
         want = -math.exp(-0.1 * t_val) * math.cos(0.5)
         assert samples[0][1].real == pytest.approx(want, abs=4e-2)
 
-    def test_formula_transcription_on_growing_data(self):
+    @pytest.mark.parametrize("mode", ["standard", "paper_literal"])
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("exp(x+y+z)", lambda X, Y, Z, t: np.exp(X + Y + Z)),
+            (
+                "(1 + 2*i)*exp(i*x - t)*cos(y) + t^2*z*exp(y)",
+                lambda X, Y, Z, t: (1 + 2j) * np.exp(1j * X - t) * np.cos(Y)
+                + t**2 * Z * np.exp(Y),
+            ),
+        ],
+        ids=["growing", "complex-t"],
+    )
+    def test_formula_transcription_on_growing_data(self, text, values, mode):
         # For vorticity data that grows on the box the kernel identity is
         # only formal; the samples must still equal the double integral
-        # exactly as written. Cross-check one component against a direct
-        # re-implementation of the tensor-product midpoint rule.
+        # exactly as written. Cross-check against a direct dense
+        # re-implementation of the tensor-product midpoint rule, at
+        # points between nodes, on a node (0.1, -0.3, 0.5) and outside
+        # the box.
         settings = QuadratureSettings(box=(-1.0, 1.0), horizon=0.5,
-                                      n_space=10, n_tau=8, tau_min=1e-3)
-        v = pe("exp(x+y+z)")
-        point = (0.2, -0.1, 0.3)
-        got = inverse_laplacian_quadrature(v, [point], t=0.0, settings=settings)[0]
+                                      n_space=10, n_tau=8)
+        tau_min = 1e-4  # lower end of the tau integral
+        points = [(0.2, -0.1, 0.3), (0.1, -0.3, 0.5), (-0.75, 0.42, 0.05),
+                  (1.5, 0.2, -1.4)]
+        t = 0.3
+        got = inverse_laplacian_quadrature(
+            pe(text), points, t=t, settings=settings, mode=mode
+        )
 
         lo, hi = settings.box
         h = (hi - lo) / settings.n_space
         axis = lo + (np.arange(settings.n_space) + 0.5) * h
         X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-        V = np.exp(X + Y + Z)
-        edges = settings.tau_min * (settings.horizon / settings.tau_min) ** (
+        V = values(X, Y, Z, t)
+        edges = tau_min * (settings.horizon / tau_min) ** (
             np.arange(settings.n_tau + 1) / settings.n_tau
         )
-        total = 0.0
-        for k in range(settings.n_tau):
-            tau = 0.5 * (edges[k] + edges[k + 1])
-            w = edges[k + 1] - edges[k]
+        for point, value in zip(points, got):
+            total = 0j
             r2 = (X - point[0]) ** 2 + (Y - point[1]) ** 2 + (Z - point[2]) ** 2
-            kern = (4 * math.pi * tau) ** -1.5 * np.exp(-r2 / (4 * tau))
-            total += w * float(np.sum(kern * V)) * h**3
-        assert got.real == pytest.approx(-total, rel=1e-12)
+            for k in range(settings.n_tau):
+                tau = 0.5 * (edges[k] + edges[k + 1])
+                w = edges[k + 1] - edges[k]
+                if mode == "standard":
+                    kern = (4 * math.pi * tau) ** -1.5 * np.exp(-r2 / (4 * tau))
+                else:
+                    kern = (4 * math.pi * tau) ** -1.5 * np.exp(-r2 / tau)
+                total += w * np.sum(kern * V) * h**3
+            want = -total if mode == "standard" else total
+            assert value == pytest.approx(want, rel=1e-12)
