@@ -38,6 +38,14 @@ from .flow import FlowProblem, RadialPotential
 from .textform import parse_expression
 
 _KINDS = ("evolution", "heat", "ball", "flow")
+# A problem constructor's ValueError starts with the name of the field it
+# rejects; the key that sets that field.
+_FIELD_KEYS = {
+    "diffusivity": "a2",
+    "viscosity": "nu",
+    "mixed_order": "i",
+    "nonlin_exponent": "k",
+}
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,10 @@ def load_problem(text: str) -> ProblemFile:
     try:
         problem = builder(entries)
     except ValueError as err:
-        raise ProblemFileError(str(err)) from None
+        message = str(err)
+        rejected = next((k for f, k in _FIELD_KEYS.items() if message.startswith(f)), None)
+        line = next((n for k, _, n in pairs if k == rejected), None)
+        raise ProblemFileError(message, line) from None
     if entries:
         key, (_, lineno) = next(iter(entries.items()))
         raise ProblemFileError(f"unknown key {key!r} for kind {kind}", lineno)

@@ -112,19 +112,30 @@ def _report(residual: np.ndarray, meshes, order_used=None) -> ResidualReport:
     )
 
 
-def _shift(mesh, var_index, offset, step):
-    if offset == 0:
-        return mesh
-    out = list(mesh)
-    out[var_index] = mesh[var_index] + offset * step
-    return tuple(out)
+def _evaluator(u, mesh, steps):
+    """values(shifts): u on the mesh moved by ``(var_index, offset)``
+    pairs, each a multiple of that variable's step. Every distinct shift
+    is evaluated once per residual: several stencils share the unshifted
+    mesh and the t-shifted meshes."""
+    cache = {}
+
+    def values(shifts=()):
+        if shifts not in cache:
+            moved = list(mesh)
+            for var_index, offset in shifts:
+                moved[var_index] = mesh[var_index] + offset * steps[var_index]
+            cache[shifts] = u(*moved)
+        return cache[shifts]
+
+    return values
 
 
-def _derivative(u, mesh, var_index, order, step, transform=None):
-    """Apply a composed central stencil to point evaluations of u."""
+def _derivative(values, var_index, order, step, base=(), transform=None):
+    """Apply a composed central stencil along one variable to point
+    evaluations at the shifts ``base`` plus the stencil's offsets."""
     total = None
     for offset, weight in stencil(order).items():
-        vals = u(*_shift(mesh, var_index, offset, step))
+        vals = values(base + ((var_index, offset),) if offset else base)
         if transform is not None:
             vals = transform(vals)
         term = weight * vals
@@ -142,22 +153,22 @@ def fd_residual_evolution(u, problem, grid: GridSpec | None = None, order_used=N
     """
     grid = grid or GridSpec()
     mesh = grid.meshes()
+    values = _evaluator(u, mesh, (grid.hx, grid.hx, grid.hx, grid.ht))
     k1 = problem.nonlin_exponent + 1
-    residual = _derivative(u, mesh, 3, 1, grid.ht)
+    residual = _derivative(values, 3, 1, grid.ht)
     for m, a_m in problem.a.items():
         if a_m != 0:
-            residual = residual - a_m * _derivative(u, mesh, 0, m, grid.hx)
+            residual = residual - a_m * _derivative(values, 0, m, grid.hx)
     for m, b_m in problem.b.items():
         if b_m != 0:
             residual = residual - b_m * _derivative(
-                u, mesh, 0, m, grid.hx, transform=lambda vals: vals**k1
+                values, 0, m, grid.hx, transform=lambda vals: vals**k1
             )
     if problem.c != 0:
         i_ord = problem.mixed_order
         mixed = None
         for t_off, t_w in stencil(1).items():
-            shifted = _shift(mesh, 3, t_off, grid.ht)
-            inner = _derivative(u, shifted, 0, i_ord, grid.hx)
+            inner = _derivative(values, 0, i_ord, grid.hx, base=((3, t_off),))
             term = t_w * inner
             mixed = term if mixed is None else mixed + term
         residual = residual - problem.c * mixed / grid.ht
@@ -178,8 +189,9 @@ def fd_residual_heat(
             | {"t": (0.05, 0.25, 11)}
         )
     mesh = grid.meshes()
-    residual = _derivative(u, mesh, 3, 1, grid.ht)
+    values = _evaluator(u, mesh, (grid.hx, grid.hx, grid.hx, grid.ht))
+    residual = _derivative(values, 3, 1, grid.ht)
     for index in range(3):
-        residual = residual - diffusivity * _derivative(u, mesh, index, 2, grid.hx)
+        residual = residual - diffusivity * _derivative(values, index, 2, grid.hx)
     return _report(residual, mesh, order_used)
 

@@ -8,7 +8,8 @@ import random
 
 from hypothesis import strategies as st
 
-from pdeseries import Atom, ExpPoly
+import pdeseries.algebra as algebra
+from pdeseries import Atom, AtomBudgetError, ExpPoly
 
 # Small building blocks keep evaluation magnitudes moderate so the
 # 1e-10 evaluation tolerances are meaningful.
@@ -152,3 +153,56 @@ def brute_force_power_entry(coefficients, p, n):
                 nxt[a_idx + b_idx] = nxt[a_idx + b_idx] + prod[a_idx] * base[b_idx]
         prod = nxt
     return prod[n].scale(math.factorial(n) / 1j**n)
+
+
+def reference_normalize(atoms) -> tuple:
+    """The atom tuple of ``ExpPoly(atoms)``, by one Atom per merge.
+
+    The original normalization: an oracle for the bit-for-bit contract of
+    ExpPoly's construction and products.
+    """
+    merged: dict = {}
+    for a in atoms:
+        k = a.key()
+        if k in merged:
+            merged[k] = Atom(merged[k].coeff + a.coeff, a.powers, a.expo)
+        else:
+            merged[k] = a
+    for a in merged.values():
+        if not (cmath.isfinite(a.coeff) and all(cmath.isfinite(c) for c in a.expo)):
+            raise ValueError(f"non-finite atom in expression: {a!r}")
+    kept = [a for a in merged.values() if abs(a.coeff) > algebra.MERGE_TOL]
+    if len(kept) > algebra.MAX_ATOMS:
+        raise AtomBudgetError(len(kept), algebra.MAX_ATOMS)
+
+    def sort_key(atom):
+        flat = []
+        for c in atom.expo:
+            flat.append(c.real)
+            flat.append(c.imag)
+        return (atom.powers, tuple(flat))
+
+    kept.sort(key=sort_key)
+    return tuple(kept)
+
+
+def reference_mul(a: ExpPoly, b: ExpPoly) -> tuple:
+    """The atom tuple of ``a * b``, by one Atom per pair of atoms."""
+    out = []
+    for x in a.atoms:
+        for y in b.atoms:
+            powers = tuple(pa + pb for pa, pb in zip(x.powers, y.powers))
+            expo = tuple(ea + eb for ea, eb in zip(x.expo, y.expo))
+            out.append(Atom(x.coeff * y.coeff, powers, expo))
+    return reference_normalize(out)
+
+
+def atom_bits(atoms) -> list:
+    """Atoms with every coefficient and slope part as its exact bits, so
+    that -0.0 differs from 0.0."""
+
+    def bits(c):
+        c = complex(c)
+        return (c.real.hex(), c.imag.hex())
+
+    return [(a.powers, tuple(map(bits, a.expo)), bits(a.coeff)) for a in atoms]

@@ -2,11 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import pdeseries.algebra as algebra
 
 from pdeseries import (
     Atom,
     AtomBudgetError,
+    EvolutionProblem,
     ExpPoly,
     NonEigenAtomError,
     VectorField,
@@ -17,13 +21,17 @@ from pdeseries import (
     heat_semigroup,
     laplacian,
     parse_expression as pe,
+    solve_series,
 )
 from helpers import (
     assert_poly_close,
+    atom_bits,
     exp_polys,
     poly_close,
     random_points,
     reference_evaluate,
+    reference_mul,
+    reference_normalize,
 )
 
 
@@ -247,3 +255,148 @@ def test_poly_close_tolerates_key_drift():
     )
     assert poly_close(a, shifted, 1e-10)
     assert not poly_close(a, a.scale(1.1), 1e-10)
+
+
+# Parts chosen so that sums cancel below MERGE_TOL ((0.1 + 0.2) - 0.3,
+# 1e-15 - 1e-15), keep or lose -0.0, and so that slopes drift (0.1 + 0.2
+# is not 0.3) or differ only in the sign of a zero.
+_PARTS = [1.0, -1.0, 0.5, 0.1, 0.2, 0.1 + 0.2, -0.3, 1e-15, -1e-15, 0.0, -0.0, 3.0]
+_ZEROS = [complex(0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+_X_SLOPES = _ZEROS + [1j, -1j, 1 + 0j, -1 + 0j, 0.3 + 0j, (0.1 + 0.2) + 0j, 0.3j]
+
+
+@st.composite
+def bit_atoms(draw):
+    coeff = complex(draw(st.sampled_from(_PARTS)), draw(st.sampled_from(_PARTS)))
+    powers = (draw(st.integers(0, 2)), 0, 0, draw(st.integers(0, 1)))
+    expo = (
+        draw(st.sampled_from(_X_SLOPES)),
+        draw(st.sampled_from(_ZEROS + [1j, -1j])),
+        draw(st.sampled_from(_ZEROS)),
+        draw(st.sampled_from(_ZEROS)),
+    )
+    return Atom(coeff, powers, expo)
+
+
+def bit_atom_lists(min_size, max_size):
+    return st.lists(bit_atoms(), min_size=min_size, max_size=max_size)
+
+
+class TestBitIdentity:
+    """Every operation returns the atom tuple of the original one-Atom-
+    per-pair algebra (tests/helpers.py), bit for bit: coefficient and
+    slope parts are compared as exact bits, so -0.0 differs from 0.0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bit_atom_lists(0, 40))
+    def test_normalize(self, atoms):
+        assert atom_bits(ExpPoly(atoms).atoms) == atom_bits(reference_normalize(atoms))
+
+    @settings(max_examples=150, deadline=None)
+    @given(bit_atom_lists(0, 7), bit_atom_lists(0, 7))
+    def test_small_product(self, xs, ys):
+        a, b = ExpPoly(xs), ExpPoly(ys)
+        assert len(a.atoms) * len(b.atoms) < algebra._NUMPY_PAIRS
+        assert atom_bits((a * b).atoms) == atom_bits(reference_mul(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(bit_atom_lists(18, 40), bit_atom_lists(18, 40))
+    def test_large_product(self, xs, ys):
+        a, b = ExpPoly(xs), ExpPoly(ys)
+        assume(len(a.atoms) * len(b.atoms) >= algebra._NUMPY_PAIRS)
+        assert atom_bits((a * b).atoms) == atom_bits(reference_mul(a, b))
+
+    @settings(max_examples=30, deadline=None)
+    @given(bit_atom_lists(1, 3), bit_atom_lists(18, 30), bit_atom_lists(18, 30))
+    def test_product_with_long_operand(self, xs, ys, zs):
+        # A short factor times a long one, as in partial sums.
+        a, b = ExpPoly(xs), ExpPoly(ys) * ExpPoly(zs)
+        assume(len(a.atoms) * len(b.atoms) >= algebra._NUMPY_PAIRS)
+        assert atom_bits((a * b).atoms) == atom_bits(reference_mul(a, b))
+        assert atom_bits((b * a).atoms) == atom_bits(reference_mul(b, a))
+
+    @settings(max_examples=80, deadline=None)
+    @given(bit_atom_lists(0, 30), bit_atom_lists(0, 30))
+    def test_add(self, xs, ys):
+        a, b = ExpPoly(xs), ExpPoly(ys)
+        assert atom_bits((a + b).atoms) == atom_bits(reference_normalize(a.atoms + b.atoms))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bit_atom_lists(0, 30),
+        st.sampled_from([-1.0, 3, 0.1, 1e-15, complex(0.5, -0.0), complex(-0.0, 2.0)]),
+    )
+    def test_scale(self, xs, factor):
+        a = ExpPoly(xs)
+        f = complex(factor)
+        want = reference_normalize([Atom(x.coeff * f, x.powers, x.expo) for x in a.atoms])
+        assert atom_bits(a.scale(factor).atoms) == atom_bits(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bit_atom_lists(0, 30), st.sampled_from(["x", "y", "t"]), st.integers(0, 2))
+    def test_diff(self, xs, var, order):
+        a = ExpPoly(xs)
+        idx = "xyzt".index(var)
+        want = a.atoms
+        for _ in range(order):
+            out = []
+            for x in want:
+                p, lam = x.powers[idx], x.expo[idx]
+                if p:
+                    lowered = x.powers[:idx] + (p - 1,) + x.powers[idx + 1:]
+                    out.append(Atom(x.coeff * p, lowered, x.expo))
+                if lam != 0:
+                    out.append(Atom(x.coeff * lam, x.powers, x.expo))
+            want = reference_normalize(out)
+        assert atom_bits(a.diff(var, order).atoms) == atom_bits(want)
+
+    def test_power_ranges_beyond_int64_keys(self):
+        # Powers this far apart leave no int64 key for a (class, powers)
+        # pair; the product still matches.
+        big = 10**5
+        atoms = [
+            Atom(1.0 + k * 1j, (k % 2 * big, k // 2 % 2 * big, k // 4 % 2 * big, k // 8 * big))
+            for k in range(16)
+        ]
+        a = ExpPoly(atoms)
+        assert len(a.atoms) ** 2 >= algebra._NUMPY_PAIRS
+        assert atom_bits((a * a).atoms) == atom_bits(reference_mul(a, a))
+
+    def test_cubic_coefficients(self, monkeypatch):
+        # w_0..w_5 of the cubic stress problem, against a solve in which
+        # every product and every normalization is the reference one.
+        problem = EvolutionProblem(
+            a={1: -1.0}, b={1: -0.5}, c=0.5, mixed_order=2, nonlin_exponent=2,
+            h=pe("exp(-x) + x*sin(x)"),
+        )
+        got = solve_series(problem, 5).coefficients
+        monkeypatch.setattr(
+            algebra, "_normalized",
+            lambda terms: reference_normalize([Atom(c, p, e) for p, e, c in terms]),
+        )
+        monkeypatch.setattr(ExpPoly, "__mul__", lambda a, b: ExpPoly(reference_mul(a, b)))
+        want = solve_series(problem, 5).coefficients
+        assert [len(w.atoms) for w in want] == [3, 30, 91, 204, 385, 650]
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert atom_bits(g.atoms) == atom_bits(w.atoms), f"w_{n}"
+
+
+def _wide(n, coeff=1.0):
+    """n atoms in distinct classes."""
+    return ExpPoly([Atom(complex(coeff), (k, 0, 0, 0), (1j * k, 0j, 0j, 0j)) for k in range(n)])
+
+
+class TestProductErrors:
+    @pytest.mark.parametrize("n", [2, 20], ids=["small", "large"])
+    def test_atom_budget(self, monkeypatch, n):
+        a = _wide(n)
+        assert (len(a.atoms) ** 2 >= algebra._NUMPY_PAIRS) == (n == 20)
+        monkeypatch.setattr(algebra, "MAX_ATOMS", 2)
+        with pytest.raises(AtomBudgetError):
+            a * a
+
+    @pytest.mark.parametrize("n", [2, 20], ids=["small", "large"])
+    def test_overflow_is_non_finite(self, n):
+        a = _wide(n, coeff=1e200)
+        with pytest.raises(ValueError, match="non-finite"):
+            a * a

@@ -170,6 +170,11 @@ class TestFileLevelErrors:
                          id="nu-nan"),
             pytest.param("kind = flow\nnu = 1\ncurl_u0 = (0, 0, exp(800)*exp(800))\n",
                          3, id="product-overflow"),
+            pytest.param("kind = heat\nu0 = sin(x)\na2 = -1\n", 3, id="a2-negative"),
+            pytest.param("kind = flow\ncurl_u0 = (0, 0, sin(x))\nnu = 0\n", 3,
+                         id="nu-zero"),
+            pytest.param("kind = evolution\nh = sin(x)\nk = -2\n", 3, id="k-negative"),
+            pytest.param("kind = evolution\ni = 0\nh = sin(x)\n", 2, id="i-zero"),
         ],
     )
     def test_bad_number_reports_line(self, text, line):

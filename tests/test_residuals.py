@@ -131,6 +131,38 @@ class TestHeatResidual:
         assert 3.3 < ratio < 4.7
 
 
+def _counted(fn):
+    """fn, recording the arguments of every call."""
+    calls = []
+
+    def u(*coords):
+        calls.append(coords)
+        return fn(*coords)
+
+    return u, calls
+
+
+class TestEvaluationCount:
+    """The candidate is evaluated once per distinct mesh."""
+
+    def test_heat(self):
+        # The unshifted mesh, two t-shifts and two shifts per x, y, z.
+        u, calls = _counted(pe("exp(-1.2*t)*sin(x)*sin(y)*sin(z)").grid_fn())
+        grid = GridSpec(
+            ranges={"x": (-1, 1, 4), "y": (-1, 1, 4), "z": (-1, 1, 4), "t": (0.05, 0.25, 4)}
+        )
+        fd_residual_heat(u, 0.4, grid)
+        assert len(calls) == 9
+
+    def test_evolution_even_orders(self):
+        # The unshifted mesh, two t-shifts, two x-shifts shared by the
+        # a.2 and b.2 terms, and the four corners of the mixed term.
+        prob = EvolutionProblem(a={2: 1.0}, b={2: -0.5}, c=0.5, mixed_order=2, h=pe("x"))
+        u, calls = _counted(pe("x + t").grid_fn())
+        fd_residual_evolution(u, prob)
+        assert len(calls) == 9
+
+
 class TestInitialCheck:
     """At t = 0 a partial sum is its datum w_0, on every grid point."""
 
