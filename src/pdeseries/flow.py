@@ -25,12 +25,14 @@ heat-kernel identity -int_0^T exp(tau*Lap) dtau (which reproduces the
 symbolic inverse as T grows) and a "paper_literal" variant with
 exp(-|w-xi|^2/tau) and a plus sign, kept for faithfulness to the source
 formula; the two differ in sign and scale. Both are evaluated
-separably: the Gaussian kernel, the midpoint grid and the data's grid
-values are contracted one axis at a time, for all tau nodes at once.
+separably: the Gaussian kernel and every atom of the data factor into
+1-D pieces, so a query point costs atoms * 3 * n_tau * n_space products
+and no 3-D midpoint grid is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -250,8 +252,9 @@ class QuadratureSettings:
     """Heat-kernel quadrature controls.
 
     n_space midpoints per axis of the box, n_tau geometric nodes of the
-    time-like integral on (TAU_MIN, horizon]. The kernel is separable, so
-    a query point costs three 1-D kernel sums per node, not n_space^3.
+    time-like integral on (TAU_MIN, horizon]. The kernel and the atoms
+    are separable, so a query point costs atoms * 3 * n_tau * n_space
+    products, and no n_space^3 grid is built.
     The defaults are sized so the standard mode reproduces symbolic
     inverses of unit-scale eigenfunctions on [-pi, pi]^3 to about 2e-2.
     """
@@ -289,8 +292,13 @@ def inverse_laplacian_quadrature(
     mode "paper_literal": same structure with kernel exp(-|w-xi|^2/tau)
         and a plus sign.
 
-    v is evaluated once on the midpoint grid; per point, the grid values
-    are contracted with the z, y and x kernel factors of every tau node.
+    Each atom c x^a y^b z^c t^d exp(l.r) is a product of 1-D factors, and
+    so is the kernel: per atom, the x^a exp(l_x x), y and z factors on the
+    midpoint axis are contracted with the matching kernel factors of
+    every tau node, and c t^d exp(l_t t) is one scalar. A query point
+    costs atoms * 3 * n_tau * n_space products; no 3-D grid is built.
+    The atom values are summed left to right in atom order, as grid_fn
+    sums them.
 
     Returns a complex ndarray of shape (len(points),). Accuracy is
     reported by the caller's own comparisons, never enforced here.
@@ -305,7 +313,14 @@ def inverse_laplacian_quadrature(
     lo, hi = settings.box
     h = (hi - lo) / settings.n_space
     axis = lo + (np.arange(settings.n_space) + 0.5) * h
-    values = v.grid_fn()(axis[:, None, None], axis[None, :, None], axis, t)
+    # (3, atoms, n_space): the 1-D spatial factors of every atom, and
+    # (atoms,): the coefficient times the time factor at t.
+    factors = np.empty((3, len(v.atoms), settings.n_space), dtype=complex)
+    scalars = np.empty(len(v.atoms), dtype=complex)
+    for i, atom in enumerate(v.atoms):
+        for var in range(3):
+            factors[var, i] = _axis_factor(atom, var, 1.0 + 0j, axis)
+        scalars[i] = _axis_factor(atom, 3, atom.coeff, t)
     edges = TAU_MIN * (settings.horizon / TAU_MIN) ** (
         np.arange(settings.n_tau + 1) / settings.n_tau
     )
@@ -313,14 +328,30 @@ def inverse_laplacian_quadrature(
     weights = sign * np.diff(edges) * (4 * math.pi * tau) ** -1.5 * h**3
     out = np.empty(len(pts), dtype=complex)
     for idx, point in enumerate(pts):
-        # (3, n_tau, n_space): the x, y and z kernel factors
-        kx, ky, kz = np.exp(
-            -((axis - point[:, None, None]) ** 2) / (spread * tau[:, None])
+        # (3, n_space, n_tau): the x, y and z kernel factors
+        kernels = np.exp(
+            -((axis[:, None] - point[:, None, None]) ** 2) / (spread * tau)
         )
-        by_xy = values @ kz.T
-        by_x = np.einsum("ijk,kj->ik", by_xy, ky)
-        out[idx] = weights @ np.einsum("ik,ki->k", by_x, kx)
+        # (3, atoms, n_tau) axis sums; their product is the 3-D sum.
+        sums = factors @ kernels
+        per_atom = scalars * ((sums[0] * sums[1] * sums[2]) @ weights)
+        total = 0j
+        for value in per_atom.tolist():
+            total += value
+        out[idx] = total
     return out
+
+
+def _axis_factor(atom: Atom, var: int, coeff: complex, values):
+    """coeff * s^p * exp(l * s) at s = values, where s^p exp(l s) is the
+    factor of atom in variable number var, evaluated through grid_fn."""
+    powers = [0, 0, 0, 0]
+    expo = [0j, 0j, 0j, 0j]
+    args = [0.0, 0.0, 0.0, 0.0]
+    powers[var] = atom.powers[var]
+    expo[var] = atom.expo[var]
+    args[var] = values
+    return ExpPoly((Atom(coeff, tuple(powers), tuple(expo)),)).grid_fn()(*args)
 
 
 # ---------------------------------------------------------------------
@@ -333,7 +364,7 @@ class FlowSolution:
     problem: FlowProblem
     psi: VectorField
 
-    @property
+    @functools.cached_property
     def curl_psi(self) -> VectorField:
         return curl(self.psi)
 

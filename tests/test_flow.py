@@ -288,6 +288,27 @@ class TestSolveFlow:
         for got, want in zip(sol.curl_psi.components(), expected):
             assert poly_close(got, want, 1e-10)
 
+    def test_curl_psi_computed_once(self, monkeypatch):
+        # velocity_at runs once per time slice; the curl of psi is taken
+        # once per solution, not once per call.
+        import pdeseries.flow as flow
+
+        calls = []
+
+        def counting_curl(field):
+            calls.append(field)
+            return curl(field)
+
+        monkeypatch.setattr(flow, "curl", counting_curl)
+        sol = solve_flow(FlowProblem(
+            NU, curl_u0=VectorField(ExpPoly.zero(), ExpPoly.zero(), pe("sin(x)"))
+        ))
+        settings = flow.QuadratureSettings(n_space=4, n_tau=2)
+        first = sol.velocity_at([(0.5, 0.0, 0.0)], t=0.1, settings=settings)
+        second = sol.velocity_at([(0.5, 0.0, 0.0)], t=0.1, settings=settings)
+        assert len(calls) == 1
+        assert np.array_equal(first, second)
+
     def test_psi_solves_vorticity_equation(self):
         prob = paper_flow_problem()
         sol = solve_flow(prob)

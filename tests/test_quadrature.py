@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,8 +138,13 @@ class TestVelocitySamples:
                 lambda X, Y, Z, t: (1 + 2j) * np.exp(1j * X - t) * np.cos(Y)
                 + t**2 * Z * np.exp(Y),
             ),
+            (
+                "t*exp(-t)*x^2*y^3*z*exp(0.5*z - x)*cos(z)",
+                lambda X, Y, Z, t: t * np.exp(-t) * X**2 * Y**3 * Z
+                * np.exp(0.5 * Z - X) * np.cos(Z),
+            ),
         ],
-        ids=["growing", "complex-t"],
+        ids=["growing", "complex-t", "powers-xyz-t"],
     )
     def test_formula_transcription_on_growing_data(self, text, values, mode):
         # For vorticity data that grows on the box the kernel identity is
@@ -178,3 +184,47 @@ class TestVelocitySamples:
                 total += w * np.sum(kern * V) * h**3
             want = -total if mode == "standard" else total
             assert value == pytest.approx(want, rel=1e-12)
+
+
+class TestQuadratureWork:
+    # Data with powers and exponentials on every axis and in time.
+    DATA = "t*x^2*exp(y)*sin(y)*cos(z) + (1 + 2*i)*exp(i*x - t)*z^3"
+
+    def test_never_evaluates_a_3d_grid(self, monkeypatch):
+        # Every evaluation of the data goes through grid_fn and returns
+        # at most one axis of midpoints, never the n_space^3 grid.
+        settings = QuadratureSettings()
+        sizes = []
+        grid_fn = ExpPoly.grid_fn
+
+        def counting_grid_fn(poly):
+            fn = grid_fn(poly)
+
+            def wrapped(*args):
+                values = fn(*args)
+                sizes.append(np.size(values))
+                return values
+
+            return wrapped
+
+        monkeypatch.setattr(ExpPoly, "grid_fn", counting_grid_fn)
+        inverse_laplacian_quadrature(pe(self.DATA), PROBES, t=0.3, settings=settings)
+        assert sizes
+        assert max(sizes) <= settings.n_space
+
+    def test_memory_does_not_grow_with_points(self):
+        # Work memory per point is fixed: the peak is small and the same
+        # for 4 and for 400 query points.
+        v = pe(self.DATA)
+        rng = np.random.default_rng(0)
+        peaks = []
+        for count in (4, 400):
+            points = rng.uniform(-2.0, 2.0, size=(count, 3))
+            tracemalloc.start()
+            try:
+                inverse_laplacian_quadrature(v, points, t=0.3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1_000_000
+        assert max(peaks) <= 1.1 * min(peaks)
